@@ -19,7 +19,7 @@ import enum
 import secrets
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Mapping
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -28,6 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .errors import WireFormatError
+from .policy import measurement_allowed
 from .wire import (
     TOKEN_MAGIC,
     decode_fields,
@@ -199,33 +200,20 @@ def verify_token_integrity(
     return None
 
 
-def check_measurement(
-    token: AttestationToken,
-    expected_measurements: Iterable[bytes],
-    measurement_allowlist: Iterable[bytes] | None = None,
-) -> AttestationFailure | None:
-    """Measurement must be bound to the profile and, when the policy pins a
-    non-empty allowlist, listed there too."""
-    if token.measurement not in set(expected_measurements):
-        return AttestationFailure.MEASUREMENT_MISMATCH
-    if measurement_allowlist:
-        if token.measurement not in set(measurement_allowlist):
-            return AttestationFailure.MEASUREMENT_MISMATCH
-    return None
-
-
 def verify_attestation(
     token: AttestationToken,
     binding,
     now: float,
     *,
     roots: RootRegistry,
-    measurement_allowlist: Iterable[bytes] | None = None,
+    measurement_allowlist: Collection[bytes] = frozenset(),
 ) -> AttestationFailure | None:
     """Full verification; returns the first failing check or None when ok."""
     failure = verify_token_integrity(token, roots, now)
     if failure is not None:
         return failure
-    return check_measurement(
-        token, binding.expected_measurements, measurement_allowlist
-    )
+    if not measurement_allowed(
+        token.measurement, binding.expected_measurements, measurement_allowlist
+    ):
+        return AttestationFailure.MEASUREMENT_MISMATCH
+    return None

@@ -131,6 +131,12 @@ class ChainStatus:
     length: int
     first_bad_seq: int | None = None
 
+    def to_json(self) -> dict:
+        payload = {"ok": self.ok, "length": self.length}
+        if not self.ok:
+            payload["first_bad_seq"] = self.first_bad_seq
+        return payload
+
 
 class AuditLog:
     """Durable writer: every append is flushed (and fsynced) before return."""

@@ -162,11 +162,7 @@ class _Backend:
     def audit_verify(self) -> dict:
         if self._admin is not None:
             return self._admin.audit_verify()
-        status = self._stack.gateway.verify_audit()
-        payload = {"ok": status.ok, "length": status.length}
-        if not status.ok:
-            payload["first_bad_seq"] = status.first_bad_seq
-        return payload
+        return self._stack.gateway.verify_audit().to_json()
 
 
 def _cmd_serve(args) -> int:
@@ -255,10 +251,7 @@ def _cmd_status(args) -> int:
 
 def _cmd_audit_verify(args) -> int:
     if args.log:
-        status = verify_audit_file(args.log)
-        result = {"ok": status.ok, "length": status.length}
-        if not status.ok:
-            result["first_bad_seq"] = status.first_bad_seq
+        result = verify_audit_file(args.log).to_json()
     else:
         backend = _Backend(args)
         try:

@@ -13,16 +13,19 @@ per-profile mutex:
                          the policy pins measurements, listed there
     7. RateLimit         sliding-window budget; only spent when 1-6 passed
 
-The first failing check is the deny reason. One audit record is appended
-for every response — allow, deny, or error — before that response is
-released; if the append fails the request fails closed. Status is
-read-only: it bypasses the pipeline, is exempt from rate limiting, and is
-still audited.
+The first failing check is the deny reason. One helper, `_audited`, maps
+the outcome of every identity and admin operation to exactly one audit
+record — allow, deny, or error — appended before the response is
+released; if the append fails the request fails closed. An unexpected
+failure is audited as `VaultError` and answers 503. Status is read-only:
+it bypasses the pipeline, takes no gateway lock, is exempt from rate
+limiting, and is still audited.
 
 The per-profile mutex is also taken by revocation and policy updates, so
 rate-limit exactness holds under concurrency and no allow can be admitted
 after a revocation returns (the linearization point is the vault state
-write under that mutex).
+write under that mutex). Mutexes are kept only for profiles the vault
+holds, so requests for unknown ids add no state beyond their record.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ from .policy import (
 )
 from .vault import (
     AkaOutcome,
-    AkaSuccess,
-    AkaSyncFailure,
     BindingMetadata,
     ProfileState,
     SimVault,
@@ -109,7 +110,7 @@ class IdentityGateway:
         audit_log: AuditLog,
         roots: RootRegistry,
         *,
-        allocator: IdentifierAllocator | None = None,
+        allocator: IdentifierAllocator,
         default_policy: DelegationPolicy | None = None,
         operator_op: bytes | None = None,
         clock: Callable[[], float] = time.time,
@@ -130,10 +131,14 @@ class IdentityGateway:
     # -- plumbing --------------------------------------------------------------
 
     def _lock_for(self, profile_id: str) -> threading.RLock:
+        """An id the vault does not hold (unknown, or being provisioned and
+        not yet given to any caller) gets a private lock that is not kept."""
         with self._locks_guard:
             lock = self._pipeline_locks.get(profile_id)
             if lock is None:
-                lock = self._pipeline_locks[profile_id] = threading.RLock()
+                lock = threading.RLock()
+                if profile_id in self.vault:
+                    self._pipeline_locks[profile_id] = lock
             return lock
 
     def _policy_for(self, profile_id: str) -> DelegationPolicy:
@@ -144,14 +149,33 @@ class IdentityGateway:
                 return self.default_policy
             raise
 
-    def _audit(
+    def _audited(
         self,
         profile_id: str,
-        operation: AuditOperation,
-        outcome: AuditOutcome,
+        audit_op: AuditOperation,
         digest: bytes,
-    ) -> None:
-        self.audit.append(profile_id, operation, outcome, digest)
+        action: Callable[[], tuple[object, str | None]],
+    ):
+        """Run `action`, which returns (result, audit_detail); exactly one
+        audit record is appended before anything is returned or raised."""
+        try:
+            result, detail = action()
+        except GatewayDenied as denial:
+            outcome = AuditOutcome.denied(denial.reason.value)
+            self.audit.append(profile_id, audit_op, outcome, digest)
+            raise
+        except StorageFailure:
+            raise  # fail closed; nothing more we can durably record
+        except AgentEsimError as err:
+            outcome = AuditOutcome.error(type(err).__name__)
+            self.audit.append(profile_id, audit_op, outcome, digest)
+            raise
+        except Exception as err:
+            outcome = AuditOutcome.error("VaultError")
+            self.audit.append(profile_id, audit_op, outcome, digest)
+            raise VaultError(f"internal failure during {audit_op.value}") from err
+        self.audit.append(profile_id, audit_op, AuditOutcome.allowed(detail), digest)
+        return result
 
     def _run_pipeline(
         self,
@@ -183,43 +207,6 @@ class IdentityGateway:
         if not decision.allowed:
             raise GatewayDenied(decision.reason, retry_after=decision.retry_after)
 
-    def _mediate(
-        self,
-        op: GatewayOp,
-        audit_op: AuditOperation,
-        profile_id: str,
-        digest: bytes,
-        attestation: AttestationToken | None,
-        source_address: str,
-        execute: Callable[[], tuple[object, str | None]],
-    ):
-        """Run pipeline + vault call + audit under the profile mutex.
-
-        `execute` returns (result, audit_detail). Exactly one audit record is
-        appended before anything is returned or raised.
-        """
-        with self._lock_for(profile_id):
-            try:
-                self._run_pipeline(op, profile_id, attestation, source_address)
-                result, detail = execute()
-            except GatewayDenied as denial:
-                self._audit(
-                    profile_id, audit_op, AuditOutcome.denied(denial.reason.value), digest
-                )
-                raise
-            except StorageFailure:
-                raise  # fail closed; nothing more we can durably record
-            except AgentEsimError as err:
-                self._audit(
-                    profile_id, audit_op, AuditOutcome.error(type(err).__name__), digest
-                )
-                raise
-            except Exception as err:
-                self._audit(profile_id, audit_op, AuditOutcome.error("VaultError"), digest)
-                raise VaultError(f"internal failure during {audit_op.value}") from err
-            self._audit(profile_id, audit_op, AuditOutcome.allowed(detail), digest)
-            return result
-
     # -- identity endpoints ------------------------------------------------------
 
     def handle_sign(
@@ -233,13 +220,12 @@ class IdentityGateway:
             raise MalformedRequest("payload_digest must be 32 bytes")
         digest = request_digest("sign", profile_id, {"payload_digest": payload_digest})
 
-        def execute():
+        def sign():
+            self._run_pipeline(GatewayOp.SIGN, profile_id, attestation, source_address)
             return self.vault.usim_sign(profile_id, payload_digest), None
 
-        return self._mediate(
-            GatewayOp.SIGN, AuditOperation.SIGN, profile_id, digest,
-            attestation, source_address, execute,
-        )
+        with self._lock_for(profile_id):
+            return self._audited(profile_id, AuditOperation.SIGN, digest, sign)
 
     def handle_authenticate(
         self,
@@ -255,20 +241,17 @@ class IdentityGateway:
             "authenticate", profile_id, {"rand": rand, "autn": autn}
         )
 
-        def execute():
+        def authenticate():
+            self._run_pipeline(
+                GatewayOp.AUTHENTICATE, profile_id, attestation, source_address
+            )
             outcome = self.vault.usim_authenticate(profile_id, rand, autn)
-            if isinstance(outcome, AkaSuccess):
-                detail = "success"
-            elif isinstance(outcome, AkaSyncFailure):
-                detail = "sync_failure"
-            else:
-                detail = "mac_failure"
-            return outcome, detail
+            return outcome, outcome.kind
 
-        return self._mediate(
-            GatewayOp.AUTHENTICATE, AuditOperation.AUTHENTICATE, profile_id, digest,
-            attestation, source_address, execute,
-        )
+        with self._lock_for(profile_id):
+            return self._audited(
+                profile_id, AuditOperation.AUTHENTICATE, digest, authenticate
+            )
 
     def handle_status(
         self,
@@ -278,37 +261,31 @@ class IdentityGateway:
     ) -> dict:
         """Read-only; bypasses the pipeline and never spends rate budget."""
         digest = request_digest("status", profile_id, {})
-        try:
+
+        def report():
             status = self.vault.get_profile_status(profile_id)
-        except UnknownProfile:
-            self._audit(
-                profile_id, AuditOperation.STATUS,
-                AuditOutcome.error("UnknownProfile"), digest,
-            )
-            raise
-        now = self.clock()
-        try:
-            policy = self._policy_for(profile_id)
-        except UnknownProfile:
-            policy = None
-        status["bound"] = status["state"] == ProfileState.ACTIVE.value
-        if policy is not None:
-            status["policy"] = policy.to_json()
-            status["rate_limit_headroom"] = self.rate_limiter.headroom(
-                profile_id, policy.rate_limit, now
-            )
-        if attestation is not None:
-            status["attestation_ok"] = (
-                verify_token_integrity(attestation, self.roots, now) is None
-            )
-        self._audit(profile_id, AuditOperation.STATUS, AuditOutcome.allowed(), digest)
-        return status
+            now = self.clock()
+            try:
+                policy = self._policy_for(profile_id)
+            except UnknownProfile:
+                policy = None
+            status["bound"] = status["state"] == ProfileState.ACTIVE.value
+            if policy is not None:
+                status["policy"] = policy.to_json()
+                status["rate_limit_headroom"] = self.rate_limiter.headroom(
+                    profile_id, policy.rate_limit, now
+                )
+            if attestation is not None:
+                status["attestation_ok"] = (
+                    verify_token_integrity(attestation, self.roots, now) is None
+                )
+            return status, None
+
+        return self._audited(profile_id, AuditOperation.STATUS, digest, report)
 
     # -- admin surface ------------------------------------------------------------
 
     def admin_provision(self, request: ProvisionRequest) -> dict:
-        if self.allocator is None:
-            raise VaultError("gateway has no identifier allocator configured")
         policy = request.initial_policy or self.default_policy
         if policy is None:
             raise InvalidPolicy("no initial policy supplied and no default configured")
@@ -335,24 +312,17 @@ class IdentityGateway:
                 "manifest": request.manifest_digest or b"",
             },
         )
+
+        def install():
+            profile = new_profile(profile_id, imsi, iccid, km, binding, policy.policy_id)
+            self.vault.install_profile(profile)
+            self.netcore.register_subscriber(imsi, km)
+            self.policies.set(profile_id, policy)
+            self.vault.set_profile_state(profile_id, ProfileState.ACTIVE)
+            return profile, None
+
         with self._lock_for(profile_id):
-            try:
-                profile = new_profile(profile_id, imsi, iccid, km, binding, policy.policy_id)
-                self.vault.install_profile(profile)
-                self.netcore.register_subscriber(imsi, km)
-                self.policies.set(profile_id, policy)
-                self.vault.set_profile_state(profile_id, ProfileState.ACTIVE)
-            except StorageFailure:
-                raise
-            except AgentEsimError as err:
-                self._audit(
-                    profile_id, AuditOperation.PROVISION,
-                    AuditOutcome.error(type(err).__name__), digest,
-                )
-                raise
-            self._audit(
-                profile_id, AuditOperation.PROVISION, AuditOutcome.allowed(), digest
-            )
+            profile = self._audited(profile_id, AuditOperation.PROVISION, digest, install)
         return {
             "profile_id": profile_id,
             "imsi": imsi,
@@ -365,22 +335,13 @@ class IdentityGateway:
         digest = request_digest(
             "revoke", profile_id, {"reason": reason.encode("utf-8")}
         )
+
+        def revoke():
+            previous = self.vault.set_profile_state(profile_id, ProfileState.REVOKED)
+            return previous, f"Revoked: {reason}"
+
         with self._lock_for(profile_id):
-            try:
-                previous = self.vault.set_profile_state(profile_id, ProfileState.REVOKED)
-            except StorageFailure:
-                raise
-            except AgentEsimError as err:
-                self._audit(
-                    profile_id, AuditOperation.STATE_CHANGE,
-                    AuditOutcome.error(type(err).__name__), digest,
-                )
-                raise
-            self._audit(
-                profile_id, AuditOperation.STATE_CHANGE,
-                AuditOutcome.allowed(f"Revoked: {reason}"), digest,
-            )
-            return previous
+            return self._audited(profile_id, AuditOperation.STATE_CHANGE, digest, revoke)
 
     def lifecycle(self, profile_id: str, action: str, *, reason: str = "") -> dict:
         if action not in _LIFECYCLE_TARGETS:
@@ -392,46 +353,30 @@ class IdentityGateway:
         digest = request_digest(
             "lifecycle", profile_id, {"action": action.encode("ascii")}
         )
+
+        def transition():
+            previous = self.vault.set_profile_state(profile_id, target)
+            return previous, f"{previous.value} -> {target.value}"
+
         with self._lock_for(profile_id):
-            try:
-                previous = self.vault.set_profile_state(profile_id, target)
-            except StorageFailure:
-                raise
-            except AgentEsimError as err:
-                self._audit(
-                    profile_id, AuditOperation.STATE_CHANGE,
-                    AuditOutcome.error(type(err).__name__), digest,
-                )
-                raise
-            self._audit(
-                profile_id, AuditOperation.STATE_CHANGE,
-                AuditOutcome.allowed(f"{previous.value} -> {target.value}"), digest,
+            previous = self._audited(
+                profile_id, AuditOperation.STATE_CHANGE, digest, transition
             )
-            return {"previous_state": previous.value, "state": target.value}
+        return {"previous_state": previous.value, "state": target.value}
 
     def update_policy(self, profile_id: str, new_policy: DelegationPolicy) -> str | None:
         """Atomically swap the profile's policy; returns the previous policy_id."""
         digest = request_digest(
             "policy", profile_id, {"policy_id": new_policy.policy_id.encode("utf-8")}
         )
+
+        def swap():
+            self.vault.get_state(profile_id)  # profile must exist
+            previous = self.policies.set(profile_id, new_policy)
+            return previous, f"{previous or '-'} -> {new_policy.policy_id}"
+
         with self._lock_for(profile_id):
-            try:
-                self.vault.get_state(profile_id)  # profile must exist
-                previous = self.policies.set(profile_id, new_policy)
-            except StorageFailure:
-                raise
-            except AgentEsimError as err:
-                self._audit(
-                    profile_id, AuditOperation.POLICY_UPDATE,
-                    AuditOutcome.error(type(err).__name__), digest,
-                )
-                raise
-            self._audit(
-                profile_id, AuditOperation.POLICY_UPDATE,
-                AuditOutcome.allowed(f"{previous or '-'} -> {new_policy.policy_id}"),
-                digest,
-            )
-            return previous
+            return self._audited(profile_id, AuditOperation.POLICY_UPDATE, digest, swap)
 
     def verify_audit(self) -> ChainStatus:
         return self.audit.verify()

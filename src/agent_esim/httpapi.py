@@ -51,7 +51,7 @@ from .errors import (
 )
 from .gateway import IdentityGateway, ProvisionRequest
 from .policy import DelegationPolicy
-from .vault import AkaMacFailure, AkaSuccess, AkaSyncFailure
+from .vault import AkaSuccess, AkaSyncFailure
 
 ATTESTATION_HEADER = "X-Attestation-Token"
 ADMIN_SECRET_HEADER = "X-Admin-Secret"
@@ -96,18 +96,12 @@ def _str_field(body: dict, name: str) -> str:
 
 
 def aka_outcome_to_json(outcome) -> dict:
+    payload = {"outcome": outcome.kind}
     if isinstance(outcome, AkaSuccess):
-        return {
-            "outcome": "success",
-            "res": outcome.res.hex(),
-            "ck": outcome.ck.hex(),
-            "ik": outcome.ik.hex(),
-        }
-    if isinstance(outcome, AkaSyncFailure):
-        return {"outcome": "sync_failure", "auts": outcome.auts.to_bytes().hex()}
-    if isinstance(outcome, AkaMacFailure):
-        return {"outcome": "mac_failure"}
-    raise VaultError(f"unexpected AKA outcome type {type(outcome).__name__}")
+        payload.update(res=outcome.res.hex(), ck=outcome.ck.hex(), ik=outcome.ik.hex())
+    elif isinstance(outcome, AkaSyncFailure):
+        payload["auts"] = outcome.auts.to_bytes().hex()
+    return payload
 
 
 def provision_request_from_json(body: dict) -> ProvisionRequest:
@@ -295,11 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, {"previous_policy_id": previous, "policy_id": policy.policy_id}, None
 
     def _get_audit_verify(self):
-        status = self.gateway.verify_audit()
-        payload = {"ok": status.ok, "length": status.length}
-        if not status.ok:
-            payload["first_bad_seq"] = status.first_bad_seq
-        return 200, payload, None
+        return 200, self.gateway.verify_audit().to_json(), None
 
 
 class GatewayHTTPServer:

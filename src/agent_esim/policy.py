@@ -23,7 +23,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import InvalidPolicy, UnknownProfile
 from .recordlog import RecordLog
@@ -229,6 +229,14 @@ class GatewayDecision:
         return cls(allowed=False, reason=reason, retry_after=retry_after)
 
 
+def measurement_allowed(
+    measurement: bytes, bound: Collection[bytes], allowlist: Collection[bytes]
+) -> bool:
+    """The measurement rule: the measurement must be bound to the profile
+    and, when the policy pins a non-empty allowlist, listed there too."""
+    return measurement in bound and (not allowlist or measurement in allowlist)
+
+
 def enforce_policy(
     policy: DelegationPolicy,
     op: GatewayOp,
@@ -237,12 +245,12 @@ def enforce_policy(
     rate_state: RateState,
     *,
     measurement: bytes | None = None,
-    binding_measurements: Iterable[bytes] | None = None,
+    binding_measurements: Collection[bytes] | None = None,
 ) -> GatewayDecision:
     """Policy-owned checks in pipeline order; total function.
 
     Order: validity window, operation permission, source scope, measurement
-    pinning (when a measurement is supplied), then rate limit. Only a fully
+    rule (when a measurement is supplied), then rate limit. Only a fully
     admitted request consumes rate budget.
     """
     if not (policy.validity.not_before <= now <= policy.validity.not_after):
@@ -251,11 +259,10 @@ def enforce_policy(
         return GatewayDecision.deny(DenyReason.OP_PERMISSION)
     if not cidr_match(source_address, policy.cidr_allowlist):
         return GatewayDecision.deny(DenyReason.CIDR_SCOPE)
-    if measurement is not None:
-        if binding_measurements is not None and measurement not in set(binding_measurements):
-            return GatewayDecision.deny(DenyReason.MEASUREMENT_MATCH)
-        if policy.measurement_allowlist and measurement not in policy.measurement_allowlist:
-            return GatewayDecision.deny(DenyReason.MEASUREMENT_MATCH)
+    if measurement is not None and not measurement_allowed(
+        measurement, binding_measurements or frozenset(), policy.measurement_allowlist
+    ):
+        return GatewayDecision.deny(DenyReason.MEASUREMENT_MATCH)
     admitted, retry_after = rate_state.try_consume(policy.rate_limit, now)
     if not admitted:
         return GatewayDecision.deny(

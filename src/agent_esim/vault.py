@@ -136,6 +136,7 @@ class SimProfile:
 
 @dataclass(frozen=True)
 class AkaSuccess:
+    kind = "success"  # class attribute, not a field: audit detail and wire name
     res: bytes
     ck: bytes
     ik: bytes
@@ -143,12 +144,13 @@ class AkaSuccess:
 
 @dataclass(frozen=True)
 class AkaSyncFailure:
+    kind = "sync_failure"
     auts: Auts
 
 
 @dataclass(frozen=True)
 class AkaMacFailure:
-    pass
+    kind = "mac_failure"
 
 
 AkaOutcome = Union[AkaSuccess, AkaSyncFailure, AkaMacFailure]
@@ -203,6 +205,7 @@ class SimVault:
 
     def _lock_for(self, profile_id: str) -> threading.RLock:
         with self._registry_lock:
+            self._require(profile_id)  # no lock is made for an unknown id
             lock = self._locks.get(profile_id)
             if lock is None:
                 lock = self._locks[profile_id] = threading.RLock()
@@ -307,6 +310,9 @@ class SimVault:
 
     def get_binding(self, profile_id: str) -> BindingMetadata:
         return self._require(profile_id).binding
+
+    def __contains__(self, profile_id: str) -> bool:
+        return profile_id in self._profiles
 
     def profile_ids(self) -> list[str]:
         with self._registry_lock:

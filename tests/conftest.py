@@ -5,6 +5,7 @@ acceptance criterion after the run.
 """
 
 import hashlib
+import os
 import re
 import secrets
 from pathlib import Path
@@ -16,6 +17,13 @@ from agent_esim.config import ServiceConfig
 from agent_esim.gateway import ProvisionRequest
 from agent_esim.policy import permissive_policy
 from agent_esim.stack import build_stack
+
+# Subprocesses the tests start (`python -m agent_esim.cli serve`) import the
+# package from this checkout too, as pytest's own `pythonpath` setting does.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 class Stack:

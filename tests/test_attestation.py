@@ -9,7 +9,6 @@ from agent_esim.attestation import (
     AttestationToken,
     RootRegistry,
     SoftwareRootOfTrust,
-    check_measurement,
     verify_attestation,
     verify_token_integrity,
 )
@@ -116,17 +115,27 @@ def test_measurement_mismatch(root, roots):
     assert result is AttestationFailure.MEASUREMENT_MISMATCH
 
 
-def test_policy_allowlist_intersection(root):
+def test_policy_allowlist_intersection(root, roots):
     measurement = secrets.token_bytes(32)
     token = issue(root, measurement)
+    binding = binding_for(measurement)
     # bound but not in the (non-empty) policy allowlist
     assert (
-        check_measurement(token, {measurement}, {secrets.token_bytes(32)})
+        verify_attestation(
+            token, binding, NOW, roots=roots,
+            measurement_allowlist={secrets.token_bytes(32)},
+        )
         is AttestationFailure.MEASUREMENT_MISMATCH
     )
     # empty allowlist imposes no extra restriction
-    assert check_measurement(token, {measurement}, frozenset()) is None
-    assert check_measurement(token, {measurement}, {measurement}) is None
+    assert (
+        verify_attestation(token, binding, NOW, roots=roots, measurement_allowlist=frozenset())
+        is None
+    )
+    assert (
+        verify_attestation(token, binding, NOW, roots=roots, measurement_allowlist={measurement})
+        is None
+    )
 
 
 def test_first_failing_check_order(root, roots):

@@ -349,29 +349,86 @@ def test_mediation_completeness(stack):
     assert stack.gateway.verify_audit().ok
 
 
-def test_fail_closed_on_audit_storage_failure(stack):
-    profile_id, _, measurement = provisioned_agent(stack)
-    token = stack.token_for(measurement)
+def _authenticate(stack, profile_id, result, measurement):
+    challenge = stack.netcore.generate_challenge(result["imsi"])
+    return stack.gateway.handle_authenticate(
+        profile_id, challenge["rand"], challenge["autn"], stack.token_for(measurement),
+        "127.0.0.1",
+    )
+
+
+# entry point -> (store, store method it calls, call(stack, profile_id, result, measurement))
+ENTRY_POINTS = {
+    "sign": (
+        "vault", "usim_sign",
+        lambda s, pid, res, m: s.gateway.handle_sign(pid, bytes(32), s.token_for(m), "127.0.0.1"),
+    ),
+    "authenticate": ("vault", "usim_authenticate", _authenticate),
+    "status": ("vault", "get_profile_status", lambda s, pid, res, m: s.gateway.handle_status(pid)),
+    "provision": ("policies", "set", lambda s, pid, res, m: s.provision()),
+    "revoke": (
+        "vault", "set_profile_state",
+        lambda s, pid, res, m: s.gateway.revoke_profile(pid, "test"),
+    ),
+    "lifecycle": (
+        "vault", "set_profile_state",
+        lambda s, pid, res, m: s.gateway.lifecycle(pid, "suspend"),
+    ),
+    "update_policy": (
+        "policies", "set",
+        lambda s, pid, res, m: s.gateway.update_policy(pid, permissive_policy()),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_fail_closed_on_audit_storage_failure(stack, entry):
+    _, _, call = ENTRY_POINTS[entry]
+    profile_id, result, measurement = provisioned_agent(stack)
     stack.audit._log.close()  # break the audit store underneath the gateway
     with pytest.raises(StorageFailure):
-        stack.gateway.handle_sign(profile_id, bytes(32), token, "127.0.0.1")
+        call(stack, profile_id, result, measurement)
 
 
-def test_fail_closed_on_vault_internal_failure(stack, monkeypatch):
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_fail_closed_on_vault_internal_failure(stack, monkeypatch, entry):
     from agent_esim.errors import VaultError
 
-    profile_id, _, measurement = provisioned_agent(stack)
-    token = stack.token_for(measurement)
+    store, method, call = ENTRY_POINTS[entry]
+    profile_id, result, measurement = provisioned_agent(stack)
 
     def explode(*args, **kwargs):
         raise RuntimeError("simulated secure-element fault")
 
-    monkeypatch.setattr(stack.vault, "usim_sign", explode)
+    monkeypatch.setattr(getattr(stack, store), method, explode)
+    before = len(stack.audit.records())
     with pytest.raises(VaultError):
-        stack.gateway.handle_sign(profile_id, bytes(32), token, "127.0.0.1")
-    record = stack.audit.records()[-1]
-    assert record.outcome.kind == "error"
-    assert record.outcome.detail == "VaultError"
+        call(stack, profile_id, result, measurement)
+    new_records = stack.audit.records()[before:]
+    assert len(new_records) == 1
+    assert new_records[0].outcome.kind == "error"
+    assert new_records[0].outcome.detail == "VaultError"
+
+
+def test_unknown_profile_ids_add_no_locks(stack):
+    profile_id, _, measurement = provisioned_agent(stack)
+    stack.gateway.handle_sign(profile_id, bytes(32), stack.token_for(measurement), "127.0.0.1")
+    gateway_locks = len(stack.gateway._pipeline_locks)
+    vault_locks = len(stack.vault._locks)
+    assert gateway_locks == vault_locks == 1
+    before = len(stack.audit.records())
+    for i in range(50):
+        with pytest.raises(UnknownProfile):
+            stack.gateway.handle_sign(f"esim-ghost{i}", bytes(32), None, "127.0.0.1")
+        with pytest.raises(UnknownProfile):
+            stack.gateway.handle_status(f"esim-ghost{i}")
+    assert len(stack.gateway._pipeline_locks) == gateway_locks
+    assert len(stack.vault._locks) == vault_locks
+    new_records = stack.audit.records()[before:]
+    assert len(new_records) == 100
+    assert {(r.outcome.kind, r.outcome.detail) for r in new_records} == {
+        ("error", "UnknownProfile")
+    }
 
 
 def test_malformed_inputs_rejected(stack):
