@@ -149,14 +149,15 @@ class AuditLog:
         clock: Callable[[], float] = time.time,
     ):
         self.path = Path(state_dir) / "audit.log"
-        self._log = RecordLog(self.path, AUDIT_HEADER, sync=sync)
         self._clock = clock
         self._lock = threading.Lock()
         self._seq = 0
         self._last_hash = GENESIS_PREV_HASH
-        for rec in self._log.records():
-            self._seq = int(rec["seq"])
-            self._last_hash = bytes.fromhex(rec["record_hash"])
+        self._log = RecordLog(self.path, AUDIT_HEADER, self._apply, sync=sync)
+
+    def _apply(self, rec: dict) -> None:
+        self._seq = int(rec["seq"])
+        self._last_hash = bytes.fromhex(rec["record_hash"])
 
     def append(
         self,
@@ -166,9 +167,8 @@ class AuditLog:
         request_digest: bytes,
     ) -> AuditRecord:
         with self._lock:
-            seq = self._seq + 1
             record = AuditRecord(
-                seq=seq,
+                seq=self._seq + 1,
                 timestamp_us=int(self._clock() * 1_000_000),
                 profile_id=profile_id,
                 operation=operation,
@@ -179,8 +179,6 @@ class AuditLog:
             )
             record = replace(record, record_hash=record.compute_hash())
             self._log.append(record.to_json())  # raises StorageFailure on error
-            self._seq = seq
-            self._last_hash = record.record_hash
             return record
 
     def records(self) -> list[AuditRecord]:

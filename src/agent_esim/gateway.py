@@ -314,11 +314,14 @@ class IdentityGateway:
         )
 
         def install():
-            profile = new_profile(profile_id, imsi, iccid, km, binding, policy.policy_id)
-            self.vault.install_profile(profile)
+            # The vault install, already Active, is the commit point: a
+            # failure before it leaves no profile (at most an unreachable
+            # subscriber and policy under an IMSI and id no caller was given).
             self.netcore.register_subscriber(imsi, km)
             self.policies.set(profile_id, policy)
-            self.vault.set_profile_state(profile_id, ProfileState.ACTIVE)
+            profile = new_profile(profile_id, imsi, iccid, km, binding, policy.policy_id)
+            profile.state = ProfileState.ACTIVE
+            self.vault.install_profile(profile)
             return profile, None
 
         with self._lock_for(profile_id):

@@ -69,16 +69,16 @@ class IdentifierAllocator:
         self.imsi_prefix = imsi_prefix
         self.iccid_prefix = iccid_prefix
         self._lock = threading.Lock()
-        self._log = RecordLog(Path(state_dir) / "alloc.log", ALLOC_HEADER)
         self._next = 1
-        for rec in self._log.records():
-            self._next = max(self._next, int(rec["serial"]) + 1)
+        self._log = RecordLog(Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply)
+
+    def _apply(self, rec: dict) -> None:
+        self._next = max(self._next, int(rec["serial"]) + 1)
 
     def allocate(self) -> tuple[str, str]:
         """Return a fresh (imsi, iccid) pair."""
         with self._lock:
             serial = self._next
-            self._next += 1
             self._log.append({"serial": serial})
         msin = str(serial).zfill(15 - len(self.imsi_prefix))
         imsi = self.imsi_prefix + msin

@@ -6,7 +6,12 @@ tokens. Shares key material with the vault by construction (one operator
 runs both) but keeps its own store so the two protocol roles stay honest.
 
 Sequence numbers advance by a fixed step per vector; challenges are
-single-use and expire after a configurable TTL.
+single-use and expire after a configurable TTL. Issuing a challenge first
+drops, oldest first, the pending challenges already past their TTL (up to
+the first one still live), so unanswered challenges do not pile up. A
+challenge dropped this way answers `UnknownChallenge`; one answered late
+before any drop answers `ChallengeExpired`. Each vector's SQN travels in
+its `challenge` record, so one append both advances SQN and retains XRES.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .milenage import (
 )
 from .recordlog import RecordLog
 
-NETCORE_HEADER = "AESIM-NETCORE/1"
+NETCORE_HEADER = "AESIM-NETCORE/2"
 
 DEFAULT_AMF = b"\x80\x00"
 DEFAULT_CHALLENGE_TTL = 60.0
@@ -76,37 +81,37 @@ class NetworkCore:
         self.sqn_step = sqn_step
         self.challenge_ttl = challenge_ttl
         self.clock = clock
-        self._log = RecordLog(Path(state_dir) / "netcore.log", NETCORE_HEADER, sync=sync)
         self._subscribers: dict[str, SubscriberRecord] = {}
-        self._pending: dict[str, PendingChallenge] = {}
-        self._lock = threading.Lock()
-        self._replay()
+        self._pending: dict[str, PendingChallenge] = {}  # in issue order
+        self._lock = threading.RLock()  # issuing a challenge expires under it too
+        self._log = RecordLog(Path(state_dir) / "netcore.log", NETCORE_HEADER, self._apply, sync=sync)
 
-    def _replay(self) -> None:
-        for rec in self._log.records():
-            kind = rec["type"]
-            if kind == "subscriber":
-                self._subscribers[rec["imsi"]] = SubscriberRecord(
-                    imsi=rec["imsi"],
-                    key_material=MilenageKeyMaterial(
-                        k=bytes.fromhex(rec["k"]), opc=bytes.fromhex(rec["opc"])
-                    ),
-                    sqn_he=int(rec["sqn_he"]),
-                    amf=bytes.fromhex(rec["amf"]),
-                )
-            elif kind == "sqn":
-                self._subscribers[rec["imsi"]].sqn_he = int(rec["sqn_he"])
-            elif kind == "challenge":
-                self._pending[rec["challenge_id"]] = PendingChallenge(
-                    challenge_id=rec["challenge_id"],
-                    imsi=rec["imsi"],
-                    rand=bytes.fromhex(rec["rand"]),
-                    xres=bytes.fromhex(rec["xres"]),
-                    issued_at=rec["issued_at"],
-                    expires_at=rec["expires_at"],
-                )
-            elif kind == "challenge_consumed":
-                self._pending.pop(rec["challenge_id"], None)
+    def _apply(self, rec: dict) -> None:
+        """The only writer of subscriber and challenge state."""
+        kind = rec["type"]
+        if kind == "subscriber":
+            self._subscribers[rec["imsi"]] = SubscriberRecord(
+                imsi=rec["imsi"],
+                key_material=MilenageKeyMaterial(
+                    k=bytes.fromhex(rec["k"]), opc=bytes.fromhex(rec["opc"])
+                ),
+                sqn_he=int(rec["sqn_he"]),
+                amf=bytes.fromhex(rec["amf"]),
+            )
+        elif kind == "sqn":
+            self._subscribers[rec["imsi"]].sqn_he = int(rec["sqn_he"])
+        elif kind == "challenge":
+            self._subscribers[rec["imsi"]].sqn_he = int(rec["sqn_he"])
+            self._pending[rec["challenge_id"]] = PendingChallenge(
+                challenge_id=rec["challenge_id"],
+                imsi=rec["imsi"],
+                rand=bytes.fromhex(rec["rand"]),
+                xres=bytes.fromhex(rec["xres"]),
+                issued_at=rec["issued_at"],
+                expires_at=rec["expires_at"],
+            )
+        elif kind == "challenge_consumed":
+            self._pending.pop(rec["challenge_id"], None)
 
     def _require(self, imsi: str) -> SubscriberRecord:
         sub = self._subscribers.get(imsi)
@@ -122,7 +127,6 @@ class NetworkCore:
         with self._lock:
             if imsi in self._subscribers:
                 raise DuplicateSubscriber(f"imsi already registered: {imsi}")
-            sub = SubscriberRecord(imsi=imsi, key_material=key_material, amf=amf)
             self._log.append(
                 {
                     "type": "subscriber",
@@ -133,44 +137,32 @@ class NetworkCore:
                     "amf": amf.hex(),
                 }
             )
-            self._subscribers[imsi] = sub
 
     def generate_challenge(self, imsi: str) -> dict:
         """Issue a fresh (challenge_id, rand, autn) for delivery to the agent."""
         with self._lock:
+            self.expire_stale_challenges()
             sub = self._require(imsi)
-            if sub.sqn_he + self.sqn_step > SQN_MAX:
+            sqn_he = sub.sqn_he + self.sqn_step
+            if sqn_he > SQN_MAX:
                 raise ResyncMacFailure("sqn space exhausted")  # pragma: no cover
-            sub.sqn_he += self.sqn_step
             rand = secrets.token_bytes(16)
-            vector = generate_auth_vector(sub.key_material, rand, sub.sqn_he, sub.amf)
+            vector = generate_auth_vector(sub.key_material, rand, sqn_he, sub.amf)
+            challenge_id = secrets.token_hex(16)
             now = self.clock()
-            challenge = PendingChallenge(
-                challenge_id=secrets.token_hex(16),
-                imsi=imsi,
-                rand=rand,
-                xres=vector.xres,
-                issued_at=now,
-                expires_at=now + self.challenge_ttl,
-            )
-            self._log.append({"type": "sqn", "imsi": imsi, "sqn_he": sub.sqn_he})
             self._log.append(
                 {
                     "type": "challenge",
-                    "challenge_id": challenge.challenge_id,
+                    "challenge_id": challenge_id,
                     "imsi": imsi,
+                    "sqn_he": sqn_he,
                     "rand": rand.hex(),
                     "xres": vector.xres.hex(),
-                    "issued_at": challenge.issued_at,
-                    "expires_at": challenge.expires_at,
+                    "issued_at": now,
+                    "expires_at": now + self.challenge_ttl,
                 }
             )
-            self._pending[challenge.challenge_id] = challenge
-            return {
-                "challenge_id": challenge.challenge_id,
-                "rand": rand,
-                "autn": vector.autn,
-            }
+            return {"challenge_id": challenge_id, "rand": rand, "autn": vector.autn}
 
     def confirm_res(self, challenge_id: str, res: bytes) -> bool:
         """True iff `res` matches the retained XRES; challenge consumed either way."""
@@ -179,7 +171,6 @@ class NetworkCore:
             if challenge is None:
                 raise UnknownChallenge(f"no pending challenge {challenge_id}")
             self._log.append({"type": "challenge_consumed", "challenge_id": challenge_id})
-            del self._pending[challenge_id]
             if self.clock() > challenge.expires_at:
                 raise ChallengeExpired(f"challenge {challenge_id} expired")
             return hmac.compare_digest(res, challenge.xres)
@@ -191,19 +182,21 @@ class NetworkCore:
             sqn_ms = verify_auts(sub.key_material, rand, auts)
             if sqn_ms is None:
                 raise ResyncMacFailure(f"auts mac_s invalid for imsi {imsi}")
-            sub.sqn_he = sqn_ms + self.sqn_step
-            self._log.append({"type": "sqn", "imsi": imsi, "sqn_he": sub.sqn_he})
+            self._log.append({"type": "sqn", "imsi": imsi, "sqn_he": sqn_ms + self.sqn_step})
 
     def expire_stale_challenges(self) -> int:
-        """Drop challenges past their TTL; returns how many were removed."""
-        now = self.clock()
-        removed = 0
+        """Drop challenges past their TTL, oldest first, up to the first one
+        still live; returns how many were removed."""
         with self._lock:
-            for cid in [c.challenge_id for c in self._pending.values() if now > c.expires_at]:
-                self._log.append({"type": "challenge_consumed", "challenge_id": cid})
-                del self._pending[cid]
-                removed += 1
-        return removed
+            now = self.clock()
+            stale = []
+            for challenge in self._pending.values():
+                if now <= challenge.expires_at:
+                    break
+                stale.append(challenge.challenge_id)
+            for challenge_id in stale:
+                self._log.append({"type": "challenge_consumed", "challenge_id": challenge_id})
+            return len(stale)
 
     def subscriber_sqn(self, imsi: str) -> int:
         with self._lock:

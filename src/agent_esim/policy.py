@@ -74,6 +74,8 @@ class DelegationPolicy:
         object.__setattr__(
             self, "measurement_allowlist", frozenset(self.measurement_allowlist)
         )
+        if not self.policy_id:  # from_json would mint a new id on every apply
+            raise InvalidPolicy("policy_id must be non-empty")
         if self.rate_limit.max_ops < 0:
             raise InvalidPolicy("rate_limit.max_ops must be >= 0")
         if self.rate_limit.window_seconds <= 0:
@@ -276,18 +278,18 @@ class PolicyStore:
     """Persistent profile_id -> DelegationPolicy binding."""
 
     def __init__(self, state_dir: str | Path, *, sync: bool = True):
-        self._log = RecordLog(Path(state_dir) / "policies.log", POLICY_HEADER, sync=sync)
         self._policies: dict[str, DelegationPolicy] = {}
         self._lock = threading.Lock()
-        for rec in self._log.records():
-            self._policies[rec["profile_id"]] = DelegationPolicy.from_json(rec["policy"])
+        self._log = RecordLog(Path(state_dir) / "policies.log", POLICY_HEADER, self._apply, sync=sync)
+
+    def _apply(self, rec: dict) -> None:
+        self._policies[rec["profile_id"]] = DelegationPolicy.from_json(rec["policy"])
 
     def set(self, profile_id: str, policy: DelegationPolicy) -> str | None:
         """Bind `policy`; returns the previous policy_id, if any."""
         with self._lock:
             previous = self._policies.get(profile_id)
             self._log.append({"profile_id": profile_id, "policy": policy.to_json()})
-            self._policies[profile_id] = policy
             return previous.policy_id if previous else None
 
     def get(self, profile_id: str) -> DelegationPolicy:

@@ -1,10 +1,15 @@
 """Append-only, length-delimited JSON record files.
 
-All persisted state (vault, network core, policies, audit trail) sits on
-this substrate: a one-line version header followed by framed records, each
-4-byte big-endian length + UTF-8 JSON. Appends are flushed (and fsynced by
-default) before returning, so a record that was acknowledged survives a
-crash. Readers get records in append order and rebuild state by replay.
+All persisted state (vault, network core, policies, audit trail,
+identifier allocator) sits on this substrate: a one-line version header
+followed by framed records, each 4-byte big-endian length + UTF-8 JSON.
+
+Each store changes its durable state in one place, the `apply` callback
+it hands to its log. `append` writes a record, flushes and (by default)
+fsyncs it, and only then passes it to `apply`, still under the log's
+lock, so memory changes in file order and a failed write changes nothing.
+Opening a log passes every stored record to the same `apply`, so a
+restart rebuilds exactly what the live process acknowledged.
 """
 
 from __future__ import annotations
@@ -13,36 +18,33 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import StorageFailure
 
 
 class RecordLog:
-    def __init__(self, path: str | Path, header: str, *, sync: bool = True):
+    def __init__(
+        self, path: str | Path, header: str, apply: Callable[[dict], None], *, sync: bool = True
+    ):
         self.path = Path(path)
         self.header = header
         self.sync = sync
+        self._apply = apply
         self._lock = threading.Lock()
-        self._fh = None
-        self._open()
-
-    def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        exists = self.path.exists() and self.path.stat().st_size > 0
-        self._fh = open(self.path, "a+b")
-        if not exists:
-            self._fh.write(self.header.encode("ascii") + b"\n")
+        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        if not fresh:
+            for record in iter_records(self.path, header):
+                apply(record)
+        self._fh = open(self.path, "ab")
+        if fresh:
+            self._fh.write(header.encode("ascii") + b"\n")
             self._fh.flush()
-        else:
-            with open(self.path, "rb") as fh:
-                first = fh.readline().rstrip(b"\n").decode("ascii", "replace")
-            if first != self.header:
-                raise StorageFailure(
-                    f"{self.path}: expected header {self.header!r}, found {first!r}"
-                )
 
     def append(self, record: dict[str, Any]) -> None:
+        """Write `record` durably, then apply it; raises StorageFailure
+        (and applies nothing) when the write fails."""
         data = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
         frame = len(data).to_bytes(4, "big") + data
         with self._lock:
@@ -55,9 +57,7 @@ class RecordLog:
                     os.fsync(self._fh.fileno())
             except OSError as err:
                 raise StorageFailure(f"{self.path}: append failed: {err}") from err
-
-    def records(self) -> Iterator[dict[str, Any]]:
-        yield from iter_records(self.path, self.header)
+            self._apply(record)
 
     def close(self) -> None:
         with self._lock:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hmac
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -180,28 +180,27 @@ class SimVault:
     """Profile store plus USIM-side crypto executor."""
 
     def __init__(self, state_dir: str | Path, *, sync: bool = True):
-        self._log = RecordLog(Path(state_dir) / "vault.log", VAULT_HEADER, sync=sync)
         self._profiles: dict[str, SimProfile] = {}
         self._imsis: set[str] = set()
         self._iccids: set[str] = set()
         self._locks: dict[str, threading.RLock] = {}
         self._registry_lock = threading.Lock()
-        self._replay()
+        self._log = RecordLog(Path(state_dir) / "vault.log", VAULT_HEADER, self._apply, sync=sync)
 
     # -- persistence ---------------------------------------------------------
 
-    def _replay(self) -> None:
-        for rec in self._log.records():
-            kind = rec["type"]
-            if kind == "install":
-                profile = _profile_from_record(rec["profile"])
-                self._profiles[profile.profile_id] = profile
-                self._imsis.add(profile.imsi)
-                self._iccids.add(profile.iccid)
-            elif kind == "state":
-                self._profiles[rec["profile_id"]].state = ProfileState(rec["state"])
-            elif kind == "sqn":
-                self._profiles[rec["profile_id"]].sqn_ms = int(rec["sqn_ms"])
+    def _apply(self, rec: dict) -> None:
+        """The only writer of profile state: live appends and restart alike."""
+        kind = rec["type"]
+        if kind == "install":
+            profile = _profile_from_record(rec["profile"])
+            self._profiles[profile.profile_id] = profile
+            self._imsis.add(profile.imsi)
+            self._iccids.add(profile.iccid)
+        elif kind == "state":
+            self._profiles[rec["profile_id"]].state = ProfileState(rec["state"])
+        elif kind == "sqn":
+            self._profiles[rec["profile_id"]].sqn_ms = int(rec["sqn_ms"])
 
     def _lock_for(self, profile_id: str) -> threading.RLock:
         with self._registry_lock:
@@ -220,6 +219,7 @@ class SimVault:
     # -- operations ----------------------------------------------------------
 
     def install_profile(self, profile: SimProfile) -> str:
+        """Install `profile` as given, state and SQN included."""
         validate_imsi(profile.imsi)
         validate_iccid(profile.iccid)
         if not profile.profile_id:
@@ -235,11 +235,7 @@ class SimVault:
                 raise DuplicateProfile(f"imsi already installed: {profile.imsi}")
             if profile.iccid in self._iccids:
                 raise DuplicateProfile(f"iccid already installed: {profile.iccid}")
-            stored = replace(profile, state=ProfileState.PROVISIONED, sqn_ms=profile.sqn_ms)
-            self._log.append({"type": "install", "profile": _profile_to_record(stored)})
-            self._profiles[stored.profile_id] = stored
-            self._imsis.add(stored.imsi)
-            self._iccids.add(stored.iccid)
+            self._log.append({"type": "install", "profile": _profile_to_record(profile)})
         return profile.profile_id
 
     def usim_authenticate(self, profile_id: str, rand: bytes, autn: bytes) -> AkaOutcome:
@@ -257,7 +253,6 @@ class SimVault:
             if sqn <= profile.sqn_ms:
                 return AkaSyncFailure(auts=build_auts(km, rand, profile.sqn_ms))
             self._log.append({"type": "sqn", "profile_id": profile_id, "sqn_ms": sqn})
-            profile.sqn_ms = sqn
             return AkaSuccess(res=res, ck=ck, ik=ik)
 
     def usim_sign(self, profile_id: str, payload_digest: bytes) -> dict:
@@ -287,7 +282,6 @@ class SimVault:
             self._log.append(
                 {"type": "state", "profile_id": profile_id, "state": new_state.value}
             )
-            profile.state = new_state
             return previous
 
     def get_profile_status(self, profile_id: str) -> dict:

@@ -8,6 +8,7 @@ import pytest
 
 from agent_esim.attestation import SoftwareRootOfTrust
 from agent_esim.audit import AuditOperation
+from agent_esim.config import ServiceConfig
 from agent_esim.errors import (
     GatewayDenied,
     InvalidPolicy,
@@ -25,6 +26,7 @@ from agent_esim.policy import (
     Validity,
     permissive_policy,
 )
+from agent_esim.stack import build_stack
 from agent_esim.vault import AkaSuccess, AkaSyncFailure, ProfileState, verify_profile_signature
 
 from tests.conftest import digest_of
@@ -366,6 +368,9 @@ ENTRY_POINTS = {
     "authenticate": ("vault", "usim_authenticate", _authenticate),
     "status": ("vault", "get_profile_status", lambda s, pid, res, m: s.gateway.handle_status(pid)),
     "provision": ("policies", "set", lambda s, pid, res, m: s.provision()),
+    "provision-register": (
+        "netcore", "register_subscriber", lambda s, pid, res, m: s.provision()
+    ),
     "revoke": (
         "vault", "set_profile_state",
         lambda s, pid, res, m: s.gateway.revoke_profile(pid, "test"),
@@ -402,12 +407,18 @@ def test_fail_closed_on_vault_internal_failure(stack, monkeypatch, entry):
 
     monkeypatch.setattr(getattr(stack, store), method, explode)
     before = len(stack.audit.records())
+    profiles = stack.vault.profile_ids()
     with pytest.raises(VaultError):
         call(stack, profile_id, result, measurement)
     new_records = stack.audit.records()[before:]
     assert len(new_records) == 1
     assert new_records[0].outcome.kind == "error"
     assert new_records[0].outcome.detail == "VaultError"
+    # a failed provision leaves no profile, live or after a restart
+    assert stack.vault.profile_ids() == profiles
+    rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir))
+    assert rebuilt.vault.profile_ids() == profiles
+    rebuilt.close()
 
 
 def test_unknown_profile_ids_add_no_locks(stack):

@@ -129,6 +129,28 @@ def test_expire_stale_challenges(core, clock):
     assert core.pending_count() == 0
 
 
+def test_issuing_drops_expired_challenges(tmp_path, clock):
+    state = tmp_path / "state"
+    core = NetworkCore(state, clock=clock, challenge_ttl=60.0)
+    core.register_subscriber(IMSI, fresh_km())
+    issued = []  # (issued_at, challenge_id), none answered
+    while clock.now < 1000.0 + 3 * 60.0:
+        issued.append((clock.now, core.generate_challenge(IMSI)["challenge_id"]))
+        clock.advance(7.0)
+    last_ttl = [cid for at, cid in issued if at >= issued[-1][0] - 60.0]
+    assert len(issued) == 26 and len(last_ttl) == 9
+    assert core.pending_count() == len(last_ttl)
+    assert list(core._pending) == last_ttl
+    with pytest.raises(UnknownChallenge):  # dropped, not merely expired
+        core.confirm_res(issued[0][1], bytes(8))
+    core.close()
+
+    reopened = NetworkCore(state, clock=clock, challenge_ttl=60.0)
+    assert reopened.pending_count() == len(last_ttl)
+    assert reopened.subscriber_sqn(IMSI) == len(issued)
+    reopened.close()
+
+
 def test_resynchronize_round(tmp_path, core):
     km = fresh_km()
     core.register_subscriber(IMSI, km)

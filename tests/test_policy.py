@@ -36,6 +36,8 @@ def make_policy(**overrides):
 
 def test_policy_invariants():
     with pytest.raises(InvalidPolicy):
+        make_policy(policy_id="")
+    with pytest.raises(InvalidPolicy):
         make_policy(rate_limit=RateLimit(max_ops=-1, window_seconds=60.0))
     with pytest.raises(InvalidPolicy):
         make_policy(rate_limit=RateLimit(max_ops=1, window_seconds=0.0))

@@ -16,30 +16,40 @@ from agent_esim.wire import (
 )
 
 
+def ignore(record):
+    pass
+
+
 def test_record_log_round_trip(tmp_path):
-    log = RecordLog(tmp_path / "x.log", "TEST/1")
+    applied = []
+    log = RecordLog(tmp_path / "x.log", "TEST/1", applied.append)
     log.append({"a": 1})
     log.append({"b": [1, 2]})
-    assert list(log.records()) == [{"a": 1}, {"b": [1, 2]}]
+    assert applied == [{"a": 1}, {"b": [1, 2]}]
     log.close()
-    reopened = RecordLog(tmp_path / "x.log", "TEST/1")
+    replayed = []
+    reopened = RecordLog(tmp_path / "x.log", "TEST/1", replayed.append)
+    assert replayed == applied
     reopened.append({"c": None})
-    assert len(list(reopened.records())) == 3
+    assert replayed == [{"a": 1}, {"b": [1, 2]}, {"c": None}]
     reopened.close()
+    assert list(iter_records(tmp_path / "x.log", "TEST/1")) == replayed
 
 
 def test_record_log_rejects_wrong_header(tmp_path):
-    log = RecordLog(tmp_path / "x.log", "TEST/1")
+    log = RecordLog(tmp_path / "x.log", "TEST/1", ignore)
     log.close()
     with pytest.raises(StorageFailure):
-        RecordLog(tmp_path / "x.log", "OTHER/9")
+        RecordLog(tmp_path / "x.log", "OTHER/9", ignore)
 
 
 def test_record_log_append_after_close_fails(tmp_path):
-    log = RecordLog(tmp_path / "x.log", "TEST/1")
+    applied = []
+    log = RecordLog(tmp_path / "x.log", "TEST/1", applied.append)
     log.close()
     with pytest.raises(StorageFailure):
         log.append({"x": 1})
+    assert applied == []
 
 
 def test_frame_tools_round_trip(tmp_path):
