@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import StorageFailure
-from .recordlog import RecordLog, iter_records
+from .recordlog import RecordLog, iter_records, read_prefix
 from .wire import encode_fields, sha256
 
 AUDIT_HEADER = "AESIM-AUDIT/1"
@@ -217,20 +216,18 @@ def verify_audit_chain(records: Iterable[AuditRecord]) -> ChainStatus:
 
 
 def verify_audit_file(path: str | Path) -> ChainStatus:
-    """Verify a stored log; undecodable storage counts as a break at the
+    """Verify a stored log; unreadable storage (a wrong header, a record that
+    does not decode, an incomplete final frame) counts as a break at the
     first unreadable position."""
-    try:
-        records = load_audit_records(path)
-    except StorageFailure:
-        # fall back to counting how many leading records remain readable
-        readable: list[AuditRecord] = []
+    stored, whole = read_prefix(path, AUDIT_HEADER)
+    readable: list[AuditRecord] = []
+    for rec in stored:
         try:
-            for rec in iter_records(path, AUDIT_HEADER):
-                readable.append(AuditRecord.from_json(rec))
-        except (StorageFailure, KeyError, ValueError):
-            pass
-        status = verify_audit_chain(readable)
-        if status.ok:
-            return ChainStatus(ok=False, length=status.length, first_bad_seq=status.length + 1)
-        return status
-    return verify_audit_chain(records)
+            readable.append(AuditRecord.from_json(rec))
+        except (KeyError, TypeError, ValueError):
+            whole = False
+            break
+    status = verify_audit_chain(readable)
+    if status.ok and not whole:
+        return ChainStatus(ok=False, length=status.length, first_bad_seq=status.length + 1)
+    return status

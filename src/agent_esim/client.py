@@ -4,12 +4,20 @@ GatewayClient is the agent-facing surface (sign / authenticate / status);
 AdminClient adds the operator endpoints behind the shared admin secret.
 Every call records the raw response in the client transcript so harnesses
 can audit and byte-scan exactly what crossed the wire.
+
+A client keeps its connections open between calls. Each request takes an
+idle connection from a small pool, or opens one, and puts it back when the
+response is read, so one client may be shared by several threads. A
+request is sent again, once, only when it went out on a reused connection
+that the server had already closed: no byte of a response came back, so
+the server never ran it. A timeout is never retried.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import urllib.parse
 from typing import Any
 
@@ -25,9 +33,18 @@ from .errors import (
 )
 from .httpapi import ADMIN_SECRET_HEADER, ATTESTATION_HEADER
 
+# Idle connections a client keeps; more concurrent calls open more, and the
+# surplus is closed as they finish.
+POOL_SIZE = 4
+# What a reused connection raises when the server closed it before reading
+# the request: sending it again cannot run it twice.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
 
 class GatewayClient:
     def __init__(self, base_url: str, *, timeout: float = 10.0):
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         parsed = urllib.parse.urlparse(base_url)
         if parsed.scheme != "http" or not parsed.hostname:
             raise ServiceUnreachable(f"unsupported endpoint url: {base_url}")
@@ -36,7 +53,53 @@ class GatewayClient:
         self.timeout = timeout
         self.transcript: list[dict[str, Any]] = []
 
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "GatewayClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # Callers never open a connection themselves, so one that drops a client
+    # without closing it gets its sockets closed rather than warned about.
+    __del__ = close
+
     # -- low level ---------------------------------------------------------------
+
+    def _exchange(self, method: str, path: str, payload, headers) -> tuple[int, str]:
+        """Send one request on a pooled connection and read its response."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        response = None
+        try:
+            if conn is not None:
+                try:
+                    conn.request(method, path, body=payload, headers=headers)
+                    response = conn.getresponse()
+                except _STALE:
+                    conn.close()
+            if response is None:
+                conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            raw = response.read().decode("utf-8", "replace")
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+        with self._idle_lock:
+            keep = not response.will_close and len(self._idle) < POOL_SIZE
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        return response.status, raw
 
     def request(
         self,
@@ -49,12 +112,7 @@ class GatewayClient:
         send_headers = {"Content-Type": "application/json"}
         send_headers.update(headers or {})
         try:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-            conn.request(method, path, body=payload, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read().decode("utf-8", "replace")
-            status = response.status
-            conn.close()
+            status, raw = self._exchange(method, path, payload, send_headers)
         except (OSError, http.client.HTTPException) as err:
             raise ServiceUnreachable(
                 f"{method} {path} against {self.host}:{self.port} failed: {err}"

@@ -20,12 +20,22 @@ Binary fields are lowercase hex on the wire. Status mapping: allow 200,
 denied 403 (+ Retry-After on rate-limit denials), unknown profile 404,
 invalid input 400, duplicate/illegal transition 409, missing or wrong
 admin secret 401, storage or vault failure 503.
+
+Connections persist (HTTP/1.1 keep-alive): a client may send any number of
+requests on one connection, and the server handles them on one thread per
+connection. The server reads each request's body before any check that can
+fail, so an error response leaves the connection at the next request. Each
+response goes out in one write: headers and body as two small writes would
+hold the body back behind Nagle's algorithm until the client's delayed ACK.
+A connection idle for IDLE_TIMEOUT_S is closed, which gives its thread back,
+and `GatewayHTTPServer.stop` shuts down every connection it still holds.
 """
 
 from __future__ import annotations
 
 import hmac
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -55,6 +65,11 @@ from .vault import AkaSuccess, AkaSyncFailure
 
 ATTESTATION_HEADER = "X-Attestation-Token"
 ADMIN_SECRET_HEADER = "X-Admin-Secret"
+
+# Seconds a kept-alive connection may wait for its next request.
+IDLE_TIMEOUT_S = 15.0
+# Largest request body the server reads; a bigger one is refused unread.
+MAX_BODY_BYTES = 1 << 20
 
 _STATUS_FOR = {
     UnknownProfile: 404,
@@ -140,11 +155,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, not per class
+        super().setup()
+
+    def _read_body(self) -> bool:
+        """Read the request body, so that the next request on this connection
+        starts where it should. A body whose end cannot be found, or one
+        over MAX_BODY_BYTES, gets an error response and closes the
+        connection; returns whether the request can go on."""
         try:
-            body = json.loads(raw.decode("utf-8"))
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            message = f"Content-Length must be 0 to {MAX_BODY_BYTES}"
+            # the Connection header also makes this handler close it
+            self._send(400, {"error": "MalformedRequest", "message": message},
+                       {"Connection": "close"})
+            return False
+        self._raw_body = self.rfile.read(length)
+        return True
+
+    def _body(self) -> dict:
+        try:
+            body = json.loads((self._raw_body or b"{}").decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as err:
             raise MalformedRequest(f"request body is not valid JSON: {err}") from err
         if not isinstance(body, dict):
@@ -172,8 +207,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        # End the headers and write them with the body in one write (see the
+        # module docstring for why).
+        self._headers_buffer.append(b"\r\n" + data)
+        self.flush_headers()
 
     def _send_error(self, err: Exception) -> None:
         if isinstance(err, GatewayDenied):
@@ -201,6 +238,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing -----------------------------------------------------------------
 
     def do_POST(self):
+        if not self._read_body():
+            return
         routes = {
             "/identity/sign": self._post_sign,
             "/identity/authenticate": self._post_authenticate,
@@ -216,6 +255,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch(route)
 
     def do_GET(self):
+        if not self._read_body():
+            return
         if self.path.startswith("/identity/status/"):
             profile_id = self.path[len("/identity/status/"):]
             self._dispatch(lambda: self._get_status(profile_id))
@@ -292,15 +333,52 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, self.gateway.verify_audit().to_json(), None
 
 
+class _ConnectionServer(ThreadingHTTPServer):
+    """Runs each connection on its own daemon thread and keeps each open
+    connection with its thread, so `close_connections` can end them."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut down the reading side of every open connection and wait up
+        to `timeout` seconds for their threads: a thread waiting for the next
+        request reads end of file, and one mid-request sends its response
+        first."""
+        with self._open_lock:
+            held = list(self._open.items())
+        for conn, _ in held:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its own thread
+                pass
+        for _, thread in held:
+            thread.join(timeout)
+
+
 class GatewayHTTPServer:
-    """Threaded HTTP front end; one OS thread per in-flight request."""
+    """Threaded HTTP front end; one OS thread per open connection."""
 
     def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
         handler = type(
             "BoundHandler", (_Handler,), {"gateway": gateway, "admin_secret": admin_secret}
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ConnectionServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -325,8 +403,10 @@ class GatewayHTTPServer:
         self._httpd.serve_forever(poll_interval=0.05)
 
     def stop(self) -> None:
+        """Stop accepting, then end every open connection and its thread."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections(timeout=5)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -9,7 +9,11 @@ it hands to its log. `append` writes a record, flushes and (by default)
 fsyncs it, and only then passes it to `apply`, still under the log's
 lock, so memory changes in file order and a failed write changes nothing.
 Opening a log passes every stored record to the same `apply`, so a
-restart rebuilds exactly what the live process acknowledged.
+restart rebuilds exactly what the live process acknowledged. A crash in the
+middle of an append leaves an incomplete final frame that no caller was
+told about; opening the log cuts it off (and records how many bytes it
+dropped in `dropped_bytes`) before appending resumes. A complete frame that
+does not decode still raises.
 """
 
 from __future__ import annotations
@@ -34,9 +38,14 @@ class RecordLog:
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
+        self.dropped_bytes = 0
         if not fresh:
-            for record in iter_records(self.path, header):
+            found, frames, end, size = _scan(self.path)
+            for record in _decode(self.path, header, found, frames):
                 apply(record)
+            if end < size:
+                os.truncate(self.path, end)
+                self.dropped_bytes = size - end
         self._fh = open(self.path, "ab")
         if fresh:
             self._fh.write(header.encode("ascii") + b"\n")
@@ -66,22 +75,29 @@ class RecordLog:
                 self._fh = None
 
 
-def read_frames(path: str | Path) -> tuple[str, list[bytes]]:
-    """Return (header, raw record payloads). Undecodable framing raises."""
+def _scan(path: str | Path) -> tuple[str, list[bytes], int, int]:
+    """(header, the complete frames, the offset where the last of them ends,
+    the file size)."""
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\n").decode("ascii", "replace")
+        header = fh.readline()
         body = fh.read()
     frames: list[bytes] = []
     pos = 0
-    while pos < len(body):
-        if pos + 4 > len(body):
-            raise StorageFailure(f"{path}: truncated frame header at byte {pos}")
-        n = int.from_bytes(body[pos : pos + 4], "big")
-        pos += 4
-        if pos + n > len(body):
-            raise StorageFailure(f"{path}: frame runs past end of file")
-        frames.append(body[pos : pos + n])
-        pos += n
+    while pos + 4 <= len(body):
+        end = pos + 4 + int.from_bytes(body[pos : pos + 4], "big")
+        if end > len(body):
+            break
+        frames.append(body[pos + 4 : end])
+        pos = end
+    text = header.rstrip(b"\n").decode("ascii", "replace")
+    return text, frames, len(header) + pos, len(header) + len(body)
+
+
+def read_frames(path: str | Path) -> tuple[str, list[bytes]]:
+    """Return (header, raw record payloads). An incomplete final frame raises."""
+    header, frames, end, size = _scan(path)
+    if end < size:
+        raise StorageFailure(f"{path}: frame runs past end of file at byte {end}")
     return header, frames
 
 
@@ -95,12 +111,29 @@ def write_frames(path: str | Path, header: str, frames: list[bytes]) -> None:
         os.fsync(fh.fileno())
 
 
-def iter_records(path: str | Path, header: str) -> Iterator[dict[str, Any]]:
-    found, frames = read_frames(path)
-    if found != header:
-        raise StorageFailure(f"{path}: expected header {header!r}, found {found!r}")
+def _decode(path, expected: str, found: str, frames: list[bytes]) -> Iterator[dict[str, Any]]:
+    if found != expected:
+        raise StorageFailure(f"{path}: expected header {expected!r}, found {found!r}")
     for frame in frames:
         try:
             yield json.loads(frame.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as err:
             raise StorageFailure(f"{path}: undecodable record: {err}") from err
+
+
+def iter_records(path: str | Path, header: str) -> Iterator[dict[str, Any]]:
+    """Decode a log's records; an incomplete final frame raises."""
+    yield from _decode(path, header, *read_frames(path))
+
+
+def read_prefix(path: str | Path, header: str) -> tuple[list[dict[str, Any]], bool]:
+    """The records that decode in order from the start of a log, and whether
+    they are all of it (False after a wrong header, an undecodable record or
+    an incomplete final frame)."""
+    found, frames, end, size = _scan(path)
+    records: list[dict[str, Any]] = []
+    try:
+        records.extend(_decode(path, header, found, frames))
+    except StorageFailure:
+        return records, False
+    return records, end == size

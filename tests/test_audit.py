@@ -152,3 +152,21 @@ def test_load_roundtrip_preserves_hashes(log):
     loaded = load_audit_records(log.path)
     assert [r.record_hash for r in loaded] == [r.record_hash for r in records]
     assert verify_audit_chain(loaded).ok
+
+
+def test_torn_final_record_is_a_break_after_the_intact_ones(tmp_path):
+    audit = AuditLog(tmp_path / "state")
+    kept = append_n(audit, 3)[:2]
+    audit.close()
+    torn = audit.path.read_bytes()[:-10]  # a crash in the middle of append 3
+    audit.path.write_bytes(torn)
+    status = verify_audit_file(audit.path)
+    assert not status.ok and (status.length, status.first_bad_seq) == (2, 3)
+
+    reopened = AuditLog(tmp_path / "state")
+    assert reopened._log.dropped_bytes == len(torn) - audit.path.stat().st_size
+    assert (reopened._seq, reopened._last_hash) == (2, kept[-1].record_hash)
+    append_n(reopened, 1)
+    reopened.close()
+    status = verify_audit_file(audit.path)
+    assert status.ok and status.length == 3

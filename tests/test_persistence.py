@@ -106,6 +106,22 @@ def test_failed_append_changes_no_memory(tmp_path, write):
     assert observe(store) == before
 
 
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_torn_append_rebuilds_state_before_it(tmp_path, write):
+    open_store, attempt = WRITES[write]
+    store = open_store(tmp_path / "state")
+    observe = OBSERVE[type(store)]
+    before = observe(store)
+    attempt(store)
+    store._log.close()
+    path = store._log.path
+    path.write_bytes(path.read_bytes()[:-10])  # a crash in the middle of that append
+    reopened = type(store)(tmp_path / "state")
+    assert reopened._log.dropped_bytes > 0
+    assert observe(reopened) == before
+    reopened._log.close()
+
+
 def _tamper_mac(autn: bytes) -> bytes:
     return autn[:-1] + bytes([autn[-1] ^ 0x01])
 

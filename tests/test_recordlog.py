@@ -68,6 +68,34 @@ def test_truncated_frame_detected(tmp_path):
         read_frames(path)
 
 
+@pytest.mark.parametrize("cut", [1, 7, 9])
+def test_record_log_drops_torn_final_frame(tmp_path, cut):
+    path = tmp_path / "t.log"
+    log = RecordLog(path, "TEST/1", ignore)
+    log.append({"a": 1})
+    log.append({"b": 2})
+    log.close()
+    intact = path.stat().st_size - len(b'{"b":2}') - 4
+    path.write_bytes(path.read_bytes()[:-cut])  # into its data, all of it, or its length
+    replayed = []
+    reopened = RecordLog(path, "TEST/1", replayed.append)
+    assert replayed == [{"a": 1}]
+    assert reopened.dropped_bytes == len(b'{"b":2}') + 4 - cut
+    assert path.stat().st_size == intact
+    reopened.append({"c": 3})
+    reopened.close()
+    assert list(iter_records(path, "TEST/1")) == [{"a": 1}, {"c": 3}]
+
+
+def test_record_log_rejects_complete_undecodable_frame(tmp_path):
+    path = tmp_path / "u.log"
+    write_frames(path, "TEST/1", [b'{"a":1}', b"\xff\xfe"])
+    before = path.read_bytes()
+    with pytest.raises(StorageFailure):
+        RecordLog(path, "TEST/1", ignore)
+    assert path.read_bytes() == before
+
+
 def test_iter_records_rejects_non_json(tmp_path):
     path = tmp_path / "w.log"
     write_frames(path, "TEST/1", [b"\xff\xfe"])
