@@ -11,12 +11,18 @@ response is read, so one client may be shared by several threads. A
 request is sent again, once, only when it went out on a reused connection
 that the server had already closed: no byte of a response came back, so
 the server never ran it. A timeout is never retried.
+
+Each request, head and body, goes out in one write, and each response is
+read through one buffered reader kept with its connection, by the same
+`httpapi.read_head` the server reads requests with. A response that cannot
+be framed raises ServiceUnreachable, as a refused connection does.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import threading
 import urllib.parse
 from typing import Any
@@ -31,25 +37,78 @@ from .errors import (
     UnknownProfile,
     VaultError,
 )
-from .httpapi import ADMIN_SECRET_HEADER, ATTESTATION_HEADER
+from .httpapi import (
+    ADMIN_SECRET_HEADER,
+    ATTESTATION_HEADER,
+    MAX_BODY_BYTES,
+    FramingError,
+    body_length,
+    read_head,
+)
 
 # Idle connections a client keeps; more concurrent calls open more, and the
 # surplus is closed as they finish.
 POOL_SIZE = 4
 # What a reused connection raises when the server closed it before reading
 # the request: sending it again cannot run it twice.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+_STALE = (ConnectionResetError, BrokenPipeError)
+_STATUS_LINE = re.compile(r"HTTP/1\.([01]) ([1-9][0-9]{2})(?: .*)?")
+
+
+class _Link:
+    """One pooled connection: `http.client.HTTPConnection` owns the socket,
+    and one buffered reader reads every response off it."""
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self.conn.connect()
+        self.rfile = self.conn.sock.makefile("rb")
+
+    def exchange(self, message: bytes) -> tuple[int, bytes, bool] | None:
+        """Send a request and read its response. Returns the status, the body
+        and whether the connection can carry another request: not after
+        `Connection: close`, an HTTP/1.0 response or a body that only the
+        close delimits. None when the server had closed the connection:
+        no byte of a response came back."""
+        try:
+            self.conn.sock.sendall(message)
+            head = read_head(self.rfile)
+        except _STALE:
+            return None
+        if head is None:
+            return None
+        status_line, headers = head
+        match = _STATUS_LINE.fullmatch(status_line)
+        if match is None:
+            raise FramingError(f"malformed status line: {status_line[:40]!r}")
+        length = body_length(headers)
+        if length is None:
+            body = self.rfile.read(MAX_BODY_BYTES + 1)
+            if len(body) > MAX_BODY_BYTES:
+                raise FramingError(f"response body over {MAX_BODY_BYTES} bytes")
+        else:
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise FramingError("the connection closed inside the response body")
+        keep = (length is not None and match[1] == "1"
+                and "close" not in headers.get("connection", "").lower())
+        return int(match[2]), body, keep
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.conn.close()
 
 
 class GatewayClient:
     def __init__(self, base_url: str, *, timeout: float = 10.0):
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Link] = []
         self._idle_lock = threading.Lock()
         parsed = urllib.parse.urlparse(base_url)
         if parsed.scheme != "http" or not parsed.hostname:
             raise ServiceUnreachable(f"unsupported endpoint url: {base_url}")
         self.host = parsed.hostname
         self.port = parsed.port or 80
+        self._authority = parsed.netloc.rpartition("@")[2]
         self.timeout = timeout
         self.transcript: list[dict[str, Any]] = []
 
@@ -57,8 +116,8 @@ class GatewayClient:
         """Close the idle connections; a later call opens new ones."""
         with self._idle_lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for link in idle:
+            link.close()
 
     def __enter__(self) -> "GatewayClient":
         return self
@@ -72,34 +131,43 @@ class GatewayClient:
 
     # -- low level ---------------------------------------------------------------
 
-    def _exchange(self, method: str, path: str, payload, headers) -> tuple[int, str]:
+    def _message(self, method: str, path: str, payload: bytes | None, headers: dict) -> bytes:
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._authority}"]
+        if payload is not None:
+            lines.append(f"Content-Length: {len(payload)}")
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        text = "".join(lines)
+        if " " in path or not (text.isascii() and text.isprintable()):
+            raise FramingError("request target or header is not printable ASCII")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
+        return head + payload if payload else head
+
+    def _exchange(self, message: bytes) -> tuple[int, bytes]:
         """Send one request on a pooled connection and read its response."""
         with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        response = None
+            link = self._idle.pop() if self._idle else None
         try:
-            if conn is not None:
-                try:
-                    conn.request(method, path, body=payload, headers=headers)
-                    response = conn.getresponse()
-                except _STALE:
-                    conn.close()
-            if response is None:
-                conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-            raw = response.read().decode("utf-8", "replace")
+            response = link.exchange(message) if link is not None else None
+            if response is None:  # no idle connection, or a stale one
+                if link is not None:
+                    link.close()
+                    link = None
+                link = _Link(self.host, self.port, self.timeout)
+                response = link.exchange(message)
+                if response is None:
+                    raise ConnectionResetError("closed before any byte of a response")
         except BaseException:
-            if conn is not None:
-                conn.close()
+            if link is not None:
+                link.close()
             raise
+        status, body, keep = response
         with self._idle_lock:
-            keep = not response.will_close and len(self._idle) < POOL_SIZE
+            keep = keep and len(self._idle) < POOL_SIZE
             if keep:
-                self._idle.append(conn)
+                self._idle.append(link)
         if not keep:
-            conn.close()
-        return response.status, raw
+            link.close()
+        return status, body
 
     def request(
         self,
@@ -112,11 +180,12 @@ class GatewayClient:
         send_headers = {"Content-Type": "application/json"}
         send_headers.update(headers or {})
         try:
-            status, raw = self._exchange(method, path, payload, send_headers)
-        except (OSError, http.client.HTTPException) as err:
+            status, data = self._exchange(self._message(method, path, payload, send_headers))
+        except (OSError, FramingError) as err:
             raise ServiceUnreachable(
                 f"{method} {path} against {self.host}:{self.port} failed: {err}"
             ) from err
+        raw = data.decode("utf-8", "replace")
         try:
             parsed = json.loads(raw) if raw else {}
         except ValueError:

@@ -21,23 +21,41 @@ denied 403 (+ Retry-After on rate-limit denials), unknown profile 404,
 invalid input 400, duplicate/illegal transition 409, missing or wrong
 admin secret 401, storage or vault failure 503.
 
+HTTP subset. The server speaks HTTP/1.1 and answers HTTP/1.0 requests too.
+A request body is delimited by Content-Length alone: a request carrying
+Transfer-Encoding gets 501, and Content-Length values that differ get 400
+(RFC 9112 section 6.3). A request line or header line over MAX_LINE_BYTES,
+or more than MAX_HEADERS header lines, gets 431; a malformed request line or
+header line gets 400; a body over MAX_BODY_BYTES gets 400. Each of these
+refusals is one JSON error with `Connection: close`, runs no handler, and
+ends the connection, because where the next request would start is unknown.
+`Expect: 100-continue` gets an interim `100 Continue` before the body is
+read. Server and client read a message head through one function,
+`read_head`, and a body length through one, `body_length`.
+
 Connections persist (HTTP/1.1 keep-alive): a client may send any number of
-requests on one connection, and the server handles them on one thread per
-connection. The server reads each request's body before any check that can
-fail, so an error response leaves the connection at the next request. Each
-response goes out in one write: headers and body as two small writes would
-hold the body back behind Nagle's algorithm until the client's delayed ACK.
-A connection idle for IDLE_TIMEOUT_S is closed, which gives its thread back,
-and `GatewayHTTPServer.stop` shuts down every connection it still holds.
+requests on one connection, and the server handles them in order on one
+thread per connection. An HTTP/1.0 request, or one with `Connection: close`,
+ends its connection after the response. The server reads each request's
+body before any check that can fail, so an error response leaves the
+connection at the next request. Each response goes out in one write:
+headers and body as two small writes would hold the body back behind
+Nagle's algorithm until the client's delayed ACK. A connection idle for
+IDLE_TIMEOUT_S is closed, which gives its thread back, and
+`GatewayHTTPServer.stop` shuts down every connection it still holds.
 """
 
 from __future__ import annotations
 
 import hmac
 import json
+import re
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 
 from .attestation import AttestationToken
 from .errors import (
@@ -68,8 +86,18 @@ ADMIN_SECRET_HEADER = "X-Admin-Secret"
 
 # Seconds a kept-alive connection may wait for its next request.
 IDLE_TIMEOUT_S = 15.0
-# Largest request body the server reads; a bigger one is refused unread.
+# Largest message body either end reads; a bigger request is refused unread.
 MAX_BODY_BYTES = 1 << 20
+# Longest start line or header line, and most header lines, in a message head.
+MAX_LINE_BYTES = 8192
+MAX_HEADERS = 64
+
+SERVER_NAME = "agent-esim/0.1"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+# An RFC 9110 token (a method or a header field name), and the request lines served.
+_TOKEN = r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+_FIELD_NAME = re.compile(_TOKEN)
+_REQUEST_LINE = re.compile(rf"({_TOKEN}) (\S+) HTTP/1\.([01])")
 
 _STATUS_FOR = {
     UnknownProfile: 404,
@@ -88,6 +116,74 @@ _STATUS_FOR = {
     StorageFailure: 503,
     VaultError: 503,
 }
+
+
+# -- message framing, shared by the server and the client ---------------------------
+
+
+class FramingError(Exception):
+    """A message whose head or body length cannot be read. `status` and
+    `error` are what the server answers to such a request; the client
+    reports it as ServiceUnreachable."""
+
+    def __init__(self, message: str, status: int = 400, error: str = "MalformedRequest"):
+        super().__init__(message)
+        self.status = status
+        self.error = error
+
+
+def _head_line(raw: bytes) -> str:
+    """A line of a message head, decoded, with its line ending."""
+    if raw[-1:] != b"\n":
+        if len(raw) > MAX_LINE_BYTES:
+            raise FramingError(f"a head line is over {MAX_LINE_BYTES} bytes", 431, "HeadTooLarge")
+        raise FramingError("the message head ended early")
+    return raw.decode("latin-1")
+
+
+def read_head(rfile) -> tuple[str, dict[str, str]] | None:
+    """Read one message head (start line, header lines, empty line) from a
+    buffered binary stream. Returns the start line and the headers, names
+    lowercased and repeated fields joined by ", ", or None when the stream
+    ends before the head's first byte. Raises FramingError for a line over
+    MAX_LINE_BYTES, more than MAX_HEADERS header lines, a malformed header
+    line or a head cut short."""
+    raw = rfile.readline(MAX_LINE_BYTES + 1)
+    if not raw:
+        return None
+    start_line = _head_line(raw).rstrip("\r\n")
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _head_line(rfile.readline(MAX_LINE_BYTES + 1))
+        if line == "\r\n" or line == "\n":
+            return start_line, headers
+        name, colon, value = line.partition(":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise FramingError("malformed header line")
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise FramingError(f"more than {MAX_HEADERS} header lines", 431, "HeadTooLarge")
+
+
+def body_length(headers: dict[str, str]) -> int | None:
+    """The body length a head declares, or None when it has no Content-Length.
+    Raises FramingError for Transfer-Encoding, which neither end reads, and
+    for a Content-Length that is not one number from 0 to MAX_BODY_BYTES."""
+    if "transfer-encoding" in headers:
+        raise FramingError(
+            "Transfer-Encoding is not supported; send Content-Length", 501, "NotImplemented"
+        )
+    value = headers.get("content-length")
+    if value is None:
+        return None
+    values = {v.strip(" \t") for v in value.split(",")}
+    if len(values) > 1:
+        raise FramingError("conflicting Content-Length values")
+    text = values.pop()
+    if not (text.isascii() and text.isdigit() and len(text) < 16) or int(text) > MAX_BODY_BYTES:
+        raise FramingError(f"Content-Length must be 0 to {MAX_BODY_BYTES}")
+    return int(text)
 
 
 def _hex_field(body: dict, name: str, length: int | None = None) -> bytes:
@@ -142,40 +238,94 @@ def provision_request_from_json(body: dict) -> ProvisionRequest:
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "agent-esim/0.1"
+class _Handler(socketserver.StreamRequestHandler):
+    """Serves one connection: reads its requests one after another and
+    answers each in one write, until either end closes it."""
 
     # bound by the server factory
     gateway: IdentityGateway
     admin_secret: str
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
-
-    # -- helpers ---------------------------------------------------------------
+    # (method, path) -> endpoint; GET /identity/status/{profile_id} goes by prefix
+    _ROUTES = {
+        ("POST", "/identity/sign"): "_post_sign",
+        ("POST", "/identity/authenticate"): "_post_authenticate",
+        ("POST", "/admin/provision"): "_post_provision",
+        ("POST", "/admin/revoke"): "_post_revoke",
+        ("POST", "/admin/lifecycle"): "_post_lifecycle",
+        ("POST", "/admin/policy"): "_post_policy",
+        ("GET", "/admin/audit/verify"): "_get_audit_verify",
+        ("GET", "/healthz"): "_get_health",
+    }
+    _STATUS_PATH = "/identity/status/"
 
     def setup(self) -> None:
         self.timeout = IDLE_TIMEOUT_S  # read per connection, not per class
         super().setup()
 
-    def _read_body(self) -> bool:
-        """Read the request body, so that the next request on this connection
-        starts where it should. A body whose end cannot be found, or one
-        over MAX_BODY_BYTES, gets an error response and closes the
-        connection; returns whether the request can go on."""
+    def handle(self) -> None:
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            message = f"Content-Length must be 0 to {MAX_BODY_BYTES}"
-            # the Connection header also makes this handler close it
-            self._send(400, {"error": "MalformedRequest", "message": message},
-                       {"Connection": "close"})
+            while self._handle_one():
+                pass
+        except OSError:  # timed out, reset or shut down: the connection is over
+            pass
+
+    def _handle_one(self) -> bool:
+        """Read one request and answer it; returns whether the connection
+        stays open. The body is read before any check that can fail, so an
+        error response leaves the connection at the next request; a request
+        whose end cannot be found is refused and closes the connection."""
+        try:
+            head = read_head(self.rfile)
+            if head is None:
+                return False
+            request_line, self.headers = head
+            match = _REQUEST_LINE.fullmatch(request_line)
+            if match is None:
+                raise FramingError("malformed request line")
+            method, self.path, minor = match.groups()
+            length = body_length(self.headers) or 0
+            http11 = minor == "1"
+            self.keep_alive = http11 and "close" not in self.headers.get("connection", "").lower()
+            if http11 and self.headers.get("expect", "").lower() == "100-continue":
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self._raw_body = self.rfile.read(length)
+            if len(self._raw_body) < length:
+                raise FramingError("the request body ended early")
+        except FramingError as err:
+            self.keep_alive = False
+            self._send(err.status, {"error": err.error, "message": str(err)})
             return False
-        self._raw_body = self.rfile.read(length)
-        return True
+        self._route(method)
+        return self.keep_alive
+
+    def _route(self, method: str) -> None:
+        endpoint = self._ROUTES.get((method, self.path))
+        if endpoint is not None:
+            self._dispatch(getattr(self, endpoint))
+        elif method == "GET" and self.path.startswith(self._STATUS_PATH):
+            profile_id = self.path[len(self._STATUS_PATH):]
+            self._dispatch(lambda: self._get_status(profile_id))
+        elif method in ("GET", "POST"):
+            self._send(404, {"error": "NotFound", "message": self.path})
+        else:
+            self._send(501, {"error": "NotImplemented", "message": f"method {method}"})
+
+    def _send(self, status: int, payload: dict, extra_headers: dict | None = None) -> None:
+        data = json.dumps(payload).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: {SERVER_NAME}\r\nDate: {self.server.http_date()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        )
+        for name, value in (extra_headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        if not self.keep_alive:
+            head += "Connection: close\r\n"
+        # Head and body in one write (see the module docstring for why).
+        self.request.sendall(head.encode("latin-1") + b"\r\n" + data)
+
+    # -- helpers ---------------------------------------------------------------
 
     def _body(self) -> dict:
         try:
@@ -187,7 +337,7 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _attestation(self) -> AttestationToken | None:
-        header = self.headers.get(ATTESTATION_HEADER)
+        header = self.headers.get(ATTESTATION_HEADER.lower())
         if not header:
             return None
         try:
@@ -196,21 +346,9 @@ class _Handler(BaseHTTPRequestHandler):
             return None  # undecodable token fails the attestation check downstream
 
     def _require_admin(self) -> None:
-        supplied = self.headers.get(ADMIN_SECRET_HEADER) or ""
+        supplied = self.headers.get(ADMIN_SECRET_HEADER.lower()) or ""
         if not self.admin_secret or not hmac.compare_digest(supplied, self.admin_secret):
             raise AdminAuthFailure("admin secret missing or wrong")
-
-    def _send(self, status: int, payload: dict, extra_headers: dict | None = None) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        # End the headers and write them with the body in one write (see the
-        # module docstring for why).
-        self._headers_buffer.append(b"\r\n" + data)
-        self.flush_headers()
 
     def _send_error(self, err: Exception) -> None:
         if isinstance(err, GatewayDenied):
@@ -234,38 +372,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(err)
             return
         self._send(status, payload, headers)
-
-    # -- routing -----------------------------------------------------------------
-
-    def do_POST(self):
-        if not self._read_body():
-            return
-        routes = {
-            "/identity/sign": self._post_sign,
-            "/identity/authenticate": self._post_authenticate,
-            "/admin/provision": self._post_provision,
-            "/admin/revoke": self._post_revoke,
-            "/admin/lifecycle": self._post_lifecycle,
-            "/admin/policy": self._post_policy,
-        }
-        route = routes.get(self.path)
-        if route is None:
-            self._send(404, {"error": "NotFound", "message": self.path})
-            return
-        self._dispatch(route)
-
-    def do_GET(self):
-        if not self._read_body():
-            return
-        if self.path.startswith("/identity/status/"):
-            profile_id = self.path[len("/identity/status/"):]
-            self._dispatch(lambda: self._get_status(profile_id))
-        elif self.path == "/admin/audit/verify":
-            self._dispatch(self._get_audit_verify)
-        elif self.path == "/healthz":
-            self._send(200, {"ok": True})
-        else:
-            self._send(404, {"error": "NotFound", "message": self.path})
 
     # -- endpoint bodies -----------------------------------------------------------
 
@@ -332,15 +438,30 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_audit_verify(self):
         return 200, self.gateway.verify_audit().to_json(), None
 
+    def _get_health(self):
+        return 200, {"ok": True}, None
 
-class _ConnectionServer(ThreadingHTTPServer):
+
+class _ConnectionServer(socketserver.ThreadingTCPServer):
     """Runs each connection on its own daemon thread and keeps each open
     connection with its thread, so `close_connections` can end them."""
+
+    allow_reuse_address = True
 
     def __init__(self, address, handler):
         super().__init__(address, handler)
         self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """The Date header value, formatted once per second."""
+        second, text = self._date
+        now = int(time.time())
+        if now != second:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(
@@ -380,6 +501,8 @@ class GatewayHTTPServer:
         )
         self._httpd = _ConnectionServer((host, port), handler)
         self._thread: threading.Thread | None = None
+        # whether a serve loop ran, which `shutdown` waits for
+        self._served = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -391,6 +514,7 @@ class GatewayHTTPServer:
         return f"http://{host}:{port}"
 
     def start(self) -> None:
+        self._served = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -400,11 +524,13 @@ class GatewayHTTPServer:
         self._thread.start()
 
     def serve_forever(self) -> None:
+        self._served = True
         self._httpd.serve_forever(poll_interval=0.05)
 
     def stop(self) -> None:
         """Stop accepting, then end every open connection and its thread."""
-        self._httpd.shutdown()
+        if self._served:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._httpd.close_connections(timeout=5)
         if self._thread is not None:
