@@ -13,11 +13,12 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .recordlog import RecordLog, iter_records, read_prefix
+from .errors import StorageFailure
+from .recordlog import FrameWalk, RecordLog, decode_records, iter_records
 from .wire import encode_fields, sha256
 
 AUDIT_HEADER = "AESIM-AUDIT/1"
@@ -63,17 +64,6 @@ class AuditRecord:
     prev_hash: bytes
     record_hash: bytes
 
-    def compute_hash(self) -> bytes:
-        return record_hash(
-            self.seq,
-            self.timestamp_us,
-            self.profile_id,
-            self.operation,
-            self.outcome,
-            self.request_digest,
-            self.prev_hash,
-        )
-
     def to_json(self) -> dict:
         return {
             "seq": self.seq,
@@ -105,19 +95,22 @@ def record_hash(
     seq: int,
     timestamp_us: int,
     profile_id: str,
-    operation: AuditOperation,
-    outcome: AuditOutcome,
+    operation: str,
+    outcome: str,
+    detail: str | None,
     request_digest: bytes,
     prev_hash: bytes,
 ) -> bytes:
+    """The chain hash over a record's fields, as stored: `operation` is an
+    `AuditOperation` value and `outcome` an `AuditOutcome` kind."""
     return sha256(
         encode_fields(
             seq.to_bytes(8, "big"),
             timestamp_us.to_bytes(8, "big"),
             profile_id.encode("utf-8"),
-            operation.value.encode("ascii"),
-            outcome.kind.encode("ascii"),
-            (outcome.detail or "").encode("utf-8"),
+            operation.encode("ascii"),
+            outcome.encode("ascii"),
+            (detail or "").encode("utf-8"),
             request_digest,
             prev_hash,
         )
@@ -166,17 +159,16 @@ class AuditLog:
         request_digest: bytes,
     ) -> AuditRecord:
         with self._lock:
-            record = AuditRecord(
-                seq=self._seq + 1,
-                timestamp_us=int(self._clock() * 1_000_000),
-                profile_id=profile_id,
-                operation=operation,
-                outcome=outcome,
-                request_digest=request_digest,
-                prev_hash=self._last_hash,
-                record_hash=GENESIS_PREV_HASH,  # placeholder until hashed
+            seq = self._seq + 1
+            timestamp_us = int(self._clock() * 1_000_000)
+            digest = record_hash(
+                seq, timestamp_us, profile_id, operation.value, outcome.kind,
+                outcome.detail, request_digest, self._last_hash,
             )
-            record = replace(record, record_hash=record.compute_hash())
+            record = AuditRecord(
+                seq, timestamp_us, profile_id, operation, outcome, request_digest,
+                self._last_hash, digest,
+            )
             self._log.append(record.to_json())  # raises StorageFailure on error
             return record
 
@@ -184,7 +176,9 @@ class AuditLog:
         return load_audit_records(self.path)
 
     def verify(self) -> ChainStatus:
-        return verify_audit_chain(self.records())
+        """Verify the committed prefix: the bytes up to the last acknowledged
+        append, so an append still in flight is not read."""
+        return verify_audit_file(self.path, self._log.committed_end)
 
     def close(self) -> None:
         self._log.close()
@@ -194,40 +188,66 @@ def load_audit_records(path: str | Path) -> list[AuditRecord]:
     return [AuditRecord.from_json(rec) for rec in iter_records(path, AUDIT_HEADER)]
 
 
-def verify_audit_chain(records: Iterable[AuditRecord]) -> ChainStatus:
-    """Recompute the chain; the first position that fails names the break.
+_OPERATIONS = frozenset(op.value for op in AuditOperation)
+
+
+def _link_hash(rec: dict, position: int, prev_hash: bytes) -> bytes | None:
+    """The stored hash of `rec` if it is a valid link at `position` after
+    `prev_hash`, else None (a missing or malformed field counts as invalid)."""
+    try:
+        stored = bytes.fromhex(rec["record_hash"])
+        if (
+            int(rec["seq"]) != position
+            or rec["operation"] not in _OPERATIONS
+            or bytes.fromhex(rec["prev_hash"]) != prev_hash
+        ):
+            return None
+        computed = record_hash(
+            position,
+            int(rec["timestamp_us"]),
+            rec["profile_id"],
+            rec["operation"],
+            rec["outcome"],
+            rec.get("detail"),
+            bytes.fromhex(rec["request_digest"]),
+            prev_hash,
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        return None
+    return stored if computed == stored else None
+
+
+def verify_audit_chain(records: Iterable[dict]) -> ChainStatus:
+    """Recompute the chain over stored records, one at a time; the first
+    position that fails names the break.
 
     Position k (1-based) fails when the stored record's seq is not k, its
-    prev_hash does not equal the previous record's hash, or its record_hash
-    does not match recomputation.
+    operation is unknown, its prev_hash does not equal the previous record's
+    hash, its record_hash does not match recomputation, or it cannot be read
+    at all (`records` raising StorageFailure there).
     """
-    prev_hash = GENESIS_PREV_HASH
-    count = 0
-    for position, record in enumerate(records, start=1):
-        if (
-            record.seq != position
-            or record.prev_hash != prev_hash
-            or record.record_hash != record.compute_hash()
-        ):
-            return ChainStatus(ok=False, length=position - 1, first_bad_seq=position)
-        prev_hash = record.record_hash
-        count = position
-    return ChainStatus(ok=True, length=count)
+    prev_hash: bytes | None = GENESIS_PREV_HASH
+    length = 0
+    try:
+        for rec in records:
+            prev_hash = _link_hash(rec, length + 1, prev_hash)
+            if prev_hash is None:
+                break
+            length += 1
+    except StorageFailure:
+        prev_hash = None
+    if prev_hash is None:
+        return ChainStatus(ok=False, length=length, first_bad_seq=length + 1)
+    return ChainStatus(ok=True, length=length)
 
 
-def verify_audit_file(path: str | Path) -> ChainStatus:
-    """Verify a stored log; unreadable storage (a wrong header, a record that
-    does not decode, an incomplete final frame) counts as a break at the
-    first unreadable position."""
-    stored, whole = read_prefix(path, AUDIT_HEADER)
-    readable: list[AuditRecord] = []
-    for rec in stored:
-        try:
-            readable.append(AuditRecord.from_json(rec))
-        except (KeyError, TypeError, ValueError):
-            whole = False
-            break
-    status = verify_audit_chain(readable)
-    if status.ok and not whole:
+def verify_audit_file(path: str | Path, end: int | None = None) -> ChainStatus:
+    """Verify a stored log, or its first `end` bytes, in one streaming pass;
+    unreadable storage (a wrong header, a record that does not decode, an
+    incomplete final frame) counts as a break at the first unreadable
+    position."""
+    with FrameWalk(path, end) as walk:
+        status = verify_audit_chain(decode_records(walk, AUDIT_HEADER))
+    if status.ok and walk.end < walk.size:
         return ChainStatus(ok=False, length=status.length, first_bad_seq=status.length + 1)
     return status

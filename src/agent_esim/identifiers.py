@@ -61,6 +61,7 @@ class IdentifierAllocator:
         *,
         imsi_prefix: str = DEFAULT_IMSI_PREFIX,
         iccid_prefix: str = DEFAULT_ICCID_PREFIX,
+        sync: bool = True,
     ):
         if not (imsi_prefix.isdigit() and 5 <= len(imsi_prefix) <= 6):
             raise InvalidProfile("imsi_prefix", "imsi prefix must be 5-6 digits")
@@ -70,7 +71,9 @@ class IdentifierAllocator:
         self.iccid_prefix = iccid_prefix
         self._lock = threading.Lock()
         self._next = 1
-        self._log = RecordLog(Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply)
+        self._log = RecordLog(
+            Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply, sync=sync
+        )
 
     def _apply(self, rec: dict) -> None:
         self._next = max(self._next, int(rec["serial"]) + 1)

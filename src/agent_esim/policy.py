@@ -111,6 +111,8 @@ class DelegationPolicy:
 
     @classmethod
     def from_json(cls, data: dict) -> "DelegationPolicy":
+        if not isinstance(data, dict):
+            raise InvalidPolicy("malformed policy document: not a JSON object")
         try:
             return cls(
                 policy_id=data.get("policy_id") or uuid.uuid4().hex,

@@ -5,20 +5,27 @@ identifier allocator) sits on this substrate: a one-line version header
 followed by framed records, each 4-byte big-endian length + UTF-8 JSON.
 
 Each store changes its durable state in one place, the `apply` callback
-it hands to its log. `append` writes a record, flushes and (by default)
-fsyncs it, and only then passes it to `apply`, still under the log's
-lock, so memory changes in file order and a failed write changes nothing.
-Opening a log passes every stored record to the same `apply`, so a
-restart rebuilds exactly what the live process acknowledged. A crash in the
-middle of an append leaves an incomplete final frame that no caller was
-told about; opening the log cuts it off (and records how many bytes it
-dropped in `dropped_bytes`) before appending resumes. A complete frame that
-does not decode still raises.
+it hands to its log. `append` writes a record and (by default) fsyncs it,
+and only then passes it to `apply`, still under the log's lock, so memory
+changes in file order. A failed append changes nothing: the file is cut
+back to `committed_end`, the offset where the last acknowledged record
+ends, so no later append or restart sees the rejected bytes. Opening a log
+passes every stored record to the same `apply`, so a restart rebuilds
+exactly what the live process acknowledged. A crash in the middle of an
+append leaves an incomplete final frame that no caller was told about;
+opening the log cuts it off (and records how many bytes it dropped in
+`dropped_bytes`) before appending resumes. A complete frame that does not
+decode still raises.
+
+Every reader goes through `FrameWalk`, which maps the file read-only and
+yields one complete frame at a time, so reading a log holds one record in
+memory however long the log is.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import threading
 from pathlib import Path
@@ -40,33 +47,50 @@ class RecordLog:
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self.dropped_bytes = 0
         if not fresh:
-            found, frames, end, size = _scan(self.path)
-            for record in _decode(self.path, header, found, frames):
-                apply(record)
-            if end < size:
-                os.truncate(self.path, end)
-                self.dropped_bytes = size - end
-        self._fh = open(self.path, "ab")
+            with FrameWalk(self.path) as walk:
+                for record in decode_records(walk, header):
+                    apply(record)
+            if walk.end < walk.size:
+                os.truncate(self.path, walk.end)
+                self.dropped_bytes = walk.size - walk.end
+            self.committed_end = walk.end
+        self._fh = open(self.path, "ab", buffering=0)
         if fresh:
-            self._fh.write(header.encode("ascii") + b"\n")
-            self._fh.flush()
+            self.committed_end = self._fh.write(header.encode("ascii") + b"\n")
 
     def append(self, record: dict[str, Any]) -> None:
         """Write `record` durably, then apply it; raises StorageFailure
-        (and applies nothing) when the write fails."""
+        (and applies nothing, and leaves no byte of it in the file) when
+        the write fails."""
         data = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
         frame = len(data).to_bytes(4, "big") + data
         with self._lock:
             if self._fh is None:
                 raise StorageFailure(f"{self.path}: log is closed")
             try:
-                self._fh.write(frame)
-                self._fh.flush()
+                if self._fh.write(frame) != len(frame):
+                    raise OSError("short write")
                 if self.sync:
                     os.fsync(self._fh.fileno())
             except OSError as err:
+                self._cut_back()
                 raise StorageFailure(f"{self.path}: append failed: {err}") from err
+            self.committed_end += len(frame)
             self._apply(record)
+
+    def _cut_back(self) -> None:
+        """Drop whatever a failed append left past `committed_end`; if that
+        fails too, close the log so that every later append fails closed."""
+        try:
+            os.ftruncate(self._fh.fileno(), self.committed_end)
+            if self.sync:
+                os.fsync(self._fh.fileno())
+        except OSError:
+            fh, self._fh = self._fh, None
+            try:
+                fh.close()
+            except OSError:
+                pass
 
     def close(self) -> None:
         with self._lock:
@@ -75,30 +99,70 @@ class RecordLog:
                 self._fh = None
 
 
-def _scan(path: str | Path) -> tuple[str, list[bytes], int, int]:
-    """(header, the complete frames, the offset where the last of them ends,
-    the file size)."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        body = fh.read()
-    frames: list[bytes] = []
-    pos = 0
-    while pos + 4 <= len(body):
-        end = pos + 4 + int.from_bytes(body[pos : pos + 4], "big")
-        if end > len(body):
-            break
-        frames.append(body[pos + 4 : end])
-        pos = end
-    text = header.rstrip(b"\n").decode("ascii", "replace")
-    return text, frames, len(header) + pos, len(header) + len(body)
+class FrameWalk:
+    """The complete frames of a log, read in place one at a time.
+
+    Opening maps the first `end` bytes of the file read-only (the whole file
+    by default; never more than it holds) and reads the header line.
+    Iterating yields each complete frame's payload in order and advances
+    `end` past it; once iteration stops, `end < size` means the walked bytes
+    finish with an incomplete frame. Use it as a context manager so the
+    mapping is released.
+    """
+
+    def __init__(self, path: str | Path, end: int | None = None):
+        self.path = path
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            self.size = size if end is None else min(end, size)
+            self._data = (
+                mmap.mmap(fh.fileno(), self.size, access=mmap.ACCESS_READ) if self.size else b""
+            )
+        newline = self._data.find(b"\n", 0, self.size)
+        self.end = newline + 1 if newline >= 0 else self.size
+        self.header = self._data[: self.end].rstrip(b"\n").decode("ascii", "replace")
+
+    def __iter__(self) -> Iterator[bytes]:
+        data, size, pos = self._data, self.size, self.end
+        while pos + 4 <= size:
+            stop = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
+            if stop > size:
+                return
+            self.end = stop
+            yield data[pos + 4 : stop]
+            pos = stop
+
+    def close(self) -> None:
+        if isinstance(self._data, mmap.mmap):
+            self._data.close()
+
+    def __enter__(self) -> "FrameWalk":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def decode_records(walk: FrameWalk, header: str) -> Iterator[dict[str, Any]]:
+    """Decode the walked frames; a wrong header or a complete frame that is
+    not UTF-8 JSON raises StorageFailure."""
+    if walk.header != header:
+        raise StorageFailure(f"{walk.path}: expected header {header!r}, found {walk.header!r}")
+    for frame in walk:
+        try:
+            record = json.loads(frame.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as err:
+            raise StorageFailure(f"{walk.path}: undecodable record: {err}") from err
+        yield record
 
 
 def read_frames(path: str | Path) -> tuple[str, list[bytes]]:
     """Return (header, raw record payloads). An incomplete final frame raises."""
-    header, frames, end, size = _scan(path)
-    if end < size:
-        raise StorageFailure(f"{path}: frame runs past end of file at byte {end}")
-    return header, frames
+    with FrameWalk(path) as walk:
+        frames = list(walk)
+    if walk.end < walk.size:
+        raise StorageFailure(f"{path}: frame runs past end of file at byte {walk.end}")
+    return walk.header, frames
 
 
 def write_frames(path: str | Path, header: str, frames: list[bytes]) -> None:
@@ -111,29 +175,10 @@ def write_frames(path: str | Path, header: str, frames: list[bytes]) -> None:
         os.fsync(fh.fileno())
 
 
-def _decode(path, expected: str, found: str, frames: list[bytes]) -> Iterator[dict[str, Any]]:
-    if found != expected:
-        raise StorageFailure(f"{path}: expected header {expected!r}, found {found!r}")
-    for frame in frames:
-        try:
-            yield json.loads(frame.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as err:
-            raise StorageFailure(f"{path}: undecodable record: {err}") from err
-
-
 def iter_records(path: str | Path, header: str) -> Iterator[dict[str, Any]]:
-    """Decode a log's records; an incomplete final frame raises."""
-    yield from _decode(path, header, *read_frames(path))
-
-
-def read_prefix(path: str | Path, header: str) -> tuple[list[dict[str, Any]], bool]:
-    """The records that decode in order from the start of a log, and whether
-    they are all of it (False after a wrong header, an undecodable record or
-    an incomplete final frame)."""
-    found, frames, end, size = _scan(path)
-    records: list[dict[str, Any]] = []
-    try:
-        records.extend(_decode(path, header, found, frames))
-    except StorageFailure:
-        return records, False
-    return records, end == size
+    """Decode a log's records; an incomplete final frame raises once the
+    complete ones before it are yielded."""
+    with FrameWalk(path) as walk:
+        yield from decode_records(walk, header)
+    if walk.end < walk.size:
+        raise StorageFailure(f"{path}: frame runs past end of file at byte {walk.end}")

@@ -71,7 +71,10 @@ def build_stack(
     for root_id, public_key in config.attestation_roots:
         roots.register(root_id, public_key)
     allocator = IdentifierAllocator(
-        state_dir, imsi_prefix=config.imsi_prefix, iccid_prefix=config.iccid_prefix
+        state_dir,
+        imsi_prefix=config.imsi_prefix,
+        iccid_prefix=config.iccid_prefix,
+        sync=sync,
     )
     gateway = IdentityGateway(
         vault,

@@ -22,11 +22,7 @@ TOKEN_MAGIC = b"AESIM-AT/1"
 
 
 def encode_fields(*fields: bytes) -> bytes:
-    out = bytearray()
-    for field in fields:
-        out += len(field).to_bytes(4, "big")
-        out += field
-    return bytes(out)
+    return b"".join([len(field).to_bytes(4, "big") + field for field in fields])
 
 
 def decode_fields(raw: bytes, expected: int | None = None) -> list[bytes]:

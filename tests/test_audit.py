@@ -2,6 +2,8 @@
 
 import json
 import secrets
+import shutil
+import tracemalloc
 
 import pytest
 
@@ -140,6 +142,17 @@ def test_undecodable_record_is_a_break(log):
     assert not status.ok and status.first_bad_seq == 3
 
 
+@pytest.mark.parametrize(
+    "field, value", [("profile_id", 7), ("timestamp_us", -1), ("outcome", "ä"), ("detail", 5)]
+)
+def test_mistyped_field_is_a_break_not_a_crash(log, field, value):
+    append_n(log, 3)
+    log.close()
+    mutate_record(log.path, 1, lambda record: record.__setitem__(field, value))  # seq 2
+    status = verify_audit_file(log.path)
+    assert (status.ok, status.length, status.first_bad_seq) == (False, 1, 2)
+
+
 def test_append_failure_raises_storage_failure(log):
     append_n(log, 1)
     log._log.close()  # simulate a failed backing store
@@ -151,7 +164,7 @@ def test_load_roundtrip_preserves_hashes(log):
     records = append_n(log, 5)
     loaded = load_audit_records(log.path)
     assert [r.record_hash for r in loaded] == [r.record_hash for r in records]
-    assert verify_audit_chain(loaded).ok
+    assert verify_audit_chain(r.to_json() for r in loaded).ok
 
 
 def test_torn_final_record_is_a_break_after_the_intact_ones(tmp_path):
@@ -170,3 +183,29 @@ def test_torn_final_record_is_a_break_after_the_intact_ones(tmp_path):
     reopened.close()
     status = verify_audit_file(audit.path)
     assert status.ok and status.length == 3
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_and_reopening_hold_memory_flat_as_the_log_grows(tmp_path):
+    audit = AuditLog(tmp_path / "big", sync=False)
+    peaks = {}
+    for records in (2_000, 20_000):
+        append_n(audit, records - audit._seq)
+        state = tmp_path / f"copy-{records}"
+        shutil.copytree(tmp_path / "big", state)
+        peaks[records] = [
+            _peak_bytes(audit.verify),
+            _peak_bytes(lambda: verify_audit_file(state / "audit.log")),
+            _peak_bytes(lambda: AuditLog(state, sync=False).close()),
+        ]
+    audit.close()
+    for small, large in zip(peaks[2_000], peaks[20_000]):
+        assert large - small < 1 << 20, peaks

@@ -144,6 +144,13 @@ def test_policy_command(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"previous_policy_id": "p0", "policy_id": "p1"}
 
+    tighter.write_text(json.dumps(["allowed_ops"]))  # not a policy object: exit 1
+    code, _, err = run_cli(
+        capsys, "--state-dir", str(tmp_path / "state"),
+        "policy", profile_id, "--policy-file", str(tighter),
+    )
+    assert code == 1 and "malformed policy" in err
+
 
 def test_audit_verify_on_log_file(tmp_path, capsys):
     policy_file = tmp_path / "policy.json"
@@ -270,6 +277,7 @@ def test_serve_and_endpoint_mode_round_trip(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     # restart on the same state keeps the profile and the audit chain
     proc2 = subprocess.Popen(
@@ -298,3 +306,4 @@ def test_serve_and_endpoint_mode_round_trip(tmp_path):
     finally:
         proc2.terminate()
         proc2.wait(timeout=10)
+        proc2.stdout.close()

@@ -5,6 +5,7 @@ import secrets
 
 import pytest
 
+from agent_esim.audit import verify_audit_file
 from agent_esim.client import AdminClient, GatewayClient
 from agent_esim.errors import (
     AdminAuthFailure,
@@ -215,6 +216,14 @@ def test_policy_update_over_wire(served):
         {"X-Admin-Secret": ADMIN_SECRET},
     )
     assert status == 400 and body["error"] == "InvalidPolicy"
+    for not_an_object in ("tight", True, 7, ["allowed_ops"]):
+        status, body, _ = admin.request(
+            "POST",
+            "/admin/policy",
+            {"profile_id": created["profile_id"], "policy": not_an_object},
+            {"X-Admin-Secret": ADMIN_SECRET},
+        )
+        assert (status, body["error"]) == (400, "InvalidPolicy"), not_an_object
 
 
 def test_audit_verify_endpoint(served):
@@ -223,6 +232,18 @@ def test_audit_verify_endpoint(served):
     admin.provision(provision_document(secrets.token_bytes(32)))
     result = admin.audit_verify()
     assert result["ok"] is True and result["length"] >= 1
+
+
+def test_audit_verify_endpoint_reads_only_the_committed_prefix(served):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    admin.provision(provision_document(secrets.token_bytes(32)))
+    length = admin.audit_verify()["length"]
+    with open(stack.audit.path, "ab") as fh:  # half of a frame still being written
+        fh.write((200).to_bytes(4, "big") + b'{"seq":')
+    assert admin.audit_verify() == {"ok": True, "length": length}
+    offline = verify_audit_file(stack.audit.path)
+    assert (offline.ok, offline.length, offline.first_bad_seq) == (False, length, length + 1)
 
 
 def test_wire_responses_never_leak_key_material(served):

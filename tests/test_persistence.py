@@ -1,6 +1,7 @@
 """Every store applies what it logs: a failed append changes nothing, and a
 restart rebuilds exactly the state the live process held."""
 
+import errno
 import random
 import secrets
 import sys
@@ -8,6 +9,7 @@ import threading
 
 import pytest
 
+from agent_esim import recordlog
 from agent_esim.agent import RelyingService
 from agent_esim.audit import AuditLog, AuditOperation, AuditOutcome
 from agent_esim.config import ServiceConfig
@@ -245,6 +247,45 @@ def test_restart_rebuilds_live_state(tmp_path):
     finally:
         rebuilt.close()
         stack.close()
+
+
+@pytest.mark.parametrize("store", ["audit", "vault"])
+def test_failed_fsync_leaves_no_bytes_behind(tmp_path, monkeypatch, store):
+    stack = Stack(tmp_path / "state")
+    pid = stack.provision()[0]["profile_id"]
+    stack.gateway.lifecycle(pid, "suspend")
+    log = getattr(stack, store)._log
+    size = log.path.stat().st_size
+    fsync, failed = recordlog.os.fsync, []
+
+    def fsync_failing_once(fd):
+        if not failed and fd == log._fh.fileno():
+            failed.append(fd)
+            raise OSError(errno.EIO, "injected fsync failure")
+        fsync(fd)
+
+    monkeypatch.setattr(recordlog.os, "fsync", fsync_failing_once)
+    with pytest.raises(StorageFailure):
+        stack.gateway.lifecycle(pid, "resume")
+    assert failed and log.path.stat().st_size == size
+    stack.gateway.handle_status(pid)  # the next acknowledged append
+    assert stack.gateway.verify_audit().ok
+    live = _snapshot(stack)
+    rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir))
+    try:
+        assert _snapshot(rebuilt) == live
+    finally:
+        rebuilt.close()
+        stack.close()
+
+
+def test_unsynced_stack_provisions_without_fsync(tmp_path, monkeypatch):
+    stack = Stack(tmp_path / "state", sync=False)
+    calls = []
+    monkeypatch.setattr(recordlog.os, "fsync", calls.append)
+    stack.provision()
+    stack.close()
+    assert calls == []
 
 
 def test_concurrent_writes_apply_every_record(tmp_path):

@@ -1,9 +1,13 @@
 """Persistence substrate and canonical encodings."""
 
+import errno
 import secrets
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from agent_esim import recordlog
 from agent_esim.errors import StorageFailure, WireFormatError
 from agent_esim.recordlog import RecordLog, iter_records, read_frames, write_frames
 from agent_esim.wire import (
@@ -50,6 +54,46 @@ def test_record_log_append_after_close_fails(tmp_path):
     with pytest.raises(StorageFailure):
         log.append({"x": 1})
     assert applied == []
+
+
+def _fail(*_args):
+    raise OSError(errno.EIO, "injected failure")
+
+
+def _fail_once(real):
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        return _fail() if len(calls) == 1 else real(*args)
+
+    return call
+
+
+def test_failed_append_is_cut_back_and_a_failed_cut_closes_the_log(tmp_path, monkeypatch):
+    path = tmp_path / "f.log"
+    applied = []
+    log = RecordLog(path, "TEST/1", applied.append)
+    log.append({"a": 1})
+    committed = path.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(recordlog.os, "fsync", _fail_once(recordlog.os.fsync))
+        with pytest.raises(StorageFailure):
+            log.append({"b": 2})
+    assert path.stat().st_size == log.committed_end == committed
+    log.append({"c": 3})
+    with monkeypatch.context() as patch:
+        patch.setattr(recordlog.os, "fsync", _fail)
+        patch.setattr(recordlog.os, "ftruncate", _fail)
+        with pytest.raises(StorageFailure):
+            log.append({"d": 4})
+    with pytest.raises(StorageFailure):  # closed: fails without writing
+        log.append({"e": 5})
+    log.close()
+    assert applied == [{"a": 1}, {"c": 3}]
+    replayed = []
+    RecordLog(path, "TEST/1", replayed.append).close()
+    assert replayed == [{"a": 1}, {"c": 3}, {"d": 4}]  # the cut failed, so a restart reads them
 
 
 def test_frame_tools_round_trip(tmp_path):
@@ -111,6 +155,19 @@ def test_field_framing_round_trip():
         decode_fields(encode_fields(b"x"), expected=2)
     with pytest.raises(WireFormatError):
         decode_fields(b"\x00\x00\x00\x05ab")  # length overruns buffer
+
+
+def _encode_fields_by_loop(*fields: bytes) -> bytes:
+    out = bytearray()
+    for field in fields:
+        out += len(field).to_bytes(4, "big")
+        out += field
+    return bytes(out)
+
+
+@given(st.lists(st.binary(max_size=300), max_size=12))
+def test_encode_fields_matches_the_loop_encoding(fields):
+    assert encode_fields(*fields) == _encode_fields_by_loop(*fields)
 
 
 def test_timestamp_codec():
