@@ -131,7 +131,9 @@ class ChainStatus:
 
 
 class AuditLog:
-    """Durable writer: every append is flushed (and fsynced) before return."""
+    """Durable writer: every append is flushed (and fsynced) before return.
+    Its log takes no snapshot, so it is never compacted: the chain is the
+    history."""
 
     def __init__(
         self,
@@ -173,7 +175,8 @@ class AuditLog:
             return record
 
     def records(self) -> list[AuditRecord]:
-        return load_audit_records(self.path)
+        """The committed records: those `verify()` reads."""
+        return load_audit_records(self.path, self._log.committed_end)
 
     def verify(self) -> ChainStatus:
         """Verify the committed prefix: the bytes up to the last acknowledged
@@ -184,8 +187,8 @@ class AuditLog:
         self._log.close()
 
 
-def load_audit_records(path: str | Path) -> list[AuditRecord]:
-    return [AuditRecord.from_json(rec) for rec in iter_records(path, AUDIT_HEADER)]
+def load_audit_records(path: str | Path, end: int | None = None) -> list[AuditRecord]:
+    return [AuditRecord.from_json(rec) for rec in iter_records(path, AUDIT_HEADER, end)]
 
 
 _OPERATIONS = frozenset(op.value for op in AuditOperation)

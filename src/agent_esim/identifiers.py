@@ -72,11 +72,16 @@ class IdentifierAllocator:
         self._lock = threading.Lock()
         self._next = 1
         self._log = RecordLog(
-            Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply, sync=sync
+            Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply,
+            sync=sync, snapshot=self._snapshot,
         )
 
     def _apply(self, rec: dict) -> None:
         self._next = max(self._next, int(rec["serial"]) + 1)
+
+    def _snapshot(self):
+        """The last serial handed out."""
+        yield {"serial": self._next - 1}
 
     def allocate(self) -> tuple[str, str]:
         """Return a fresh (imsi, iccid) pair."""

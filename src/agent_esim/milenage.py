@@ -137,57 +137,66 @@ class MilenageOutput:
     ak_star: bytes # f5*, 6 bytes
 
 
-def _temp(km: MilenageKeyMaterial, rand: bytes) -> bytes:
-    return _aes128_encrypt(km.k, xor_bytes(rand, km.opc))
+class _Evaluation:
+    """One MILENAGE evaluation for (key material, RAND): a single AES-128
+    context under K, with TEMP = E_K(RAND xor OPc) computed once."""
+
+    __slots__ = ("_encrypt", "_opc", "_temp")
+
+    def __init__(self, km: MilenageKeyMaterial, rand: bytes):
+        rand = _require_len("rand", rand, 16)
+        self._encrypt = Cipher(algorithms.AES(km.k), modes.ECB()).encryptor().update
+        self._opc = int.from_bytes(km.opc, "big")
+        temp = self._encrypt((int.from_bytes(rand, "big") ^ self._opc).to_bytes(16, "big"))
+        self._temp = int.from_bytes(temp, "big")
+
+    def out1(self, sqn: bytes, amf: bytes) -> bytes:
+        """OUT1: E_K(TEMP xor rot(IN1 xor OPc, r1) xor c1) xor OPc."""
+        sqn = _require_len("sqn", sqn, 6)
+        amf = _require_len("amf", amf, 2)
+        in1 = int.from_bytes(sqn + amf + sqn + amf, "big")
+        return self._outputs([self._temp ^ _rotl128(in1 ^ self._opc, _R[0]) ^ _C[0]])[0]
+
+    def out(self, *indexes: int) -> list[bytes]:
+        """OUT2..OUT5: E_K(rot(TEMP xor OPc, r_n) xor c_n) xor OPc, in one pass."""
+        base = self._temp ^ self._opc
+        return self._outputs([_rotl128(base, _R[n - 1]) ^ _C[n - 1] for n in indexes])
+
+    def _outputs(self, args: list[int]) -> list[bytes]:
+        blocks = self._encrypt(b"".join(arg.to_bytes(16, "big") for arg in args))
+        return [
+            (int.from_bytes(blocks[i : i + 16], "big") ^ self._opc).to_bytes(16, "big")
+            for i in range(0, len(blocks), 16)
+        ]
 
 
 def f1(km: MilenageKeyMaterial, rand: bytes, sqn: bytes, amf: bytes) -> tuple[bytes, bytes]:
     """Network/resync authentication codes: returns (MAC-A, MAC-S)."""
-    rand = _require_len("rand", rand, 16)
-    sqn = _require_len("sqn", sqn, 6)
-    amf = _require_len("amf", amf, 2)
-    opc_i = int.from_bytes(km.opc, "big")
-    temp_i = int.from_bytes(_temp(km, rand), "big")
-    in1 = int.from_bytes(sqn + amf + sqn + amf, "big")
-    arg = temp_i ^ _rotl128(in1 ^ opc_i, _R[0]) ^ _C[0]
-    out1 = int.from_bytes(_aes128_encrypt(km.k, arg.to_bytes(16, "big")), "big") ^ opc_i
-    out1_b = out1.to_bytes(16, "big")
-    return out1_b[:8], out1_b[8:]
-
-
-def _out_n(km: MilenageKeyMaterial, rand: bytes, index: int) -> bytes:
-    """OUT2..OUT5: E_k(rot(TEMP xor OPc, r_n) xor c_n) xor OPc."""
-    opc_i = int.from_bytes(km.opc, "big")
-    temp_i = int.from_bytes(_temp(km, rand), "big")
-    arg = _rotl128(temp_i ^ opc_i, _R[index - 1]) ^ _C[index - 1]
-    out = int.from_bytes(_aes128_encrypt(km.k, arg.to_bytes(16, "big")), "big") ^ opc_i
-    return out.to_bytes(16, "big")
+    out1 = _Evaluation(km, rand).out1(sqn, amf)
+    return out1[:8], out1[8:]
 
 
 def f2345(km: MilenageKeyMaterial, rand: bytes) -> tuple[bytes, bytes, bytes, bytes]:
     """Challenge response and session keys: returns (RES, CK, IK, AK)."""
-    rand = _require_len("rand", rand, 16)
-    out2 = _out_n(km, rand, 2)
-    ck = _out_n(km, rand, 3)
-    ik = _out_n(km, rand, 4)
+    out2, ck, ik = _Evaluation(km, rand).out(2, 3, 4)
     return out2[8:16], ck, ik, out2[:6]
 
 
 def f5star(km: MilenageKeyMaterial, rand: bytes) -> bytes:
     """Resynchronization anonymity key AK* (6 bytes)."""
-    rand = _require_len("rand", rand, 16)
-    return _out_n(km, rand, 5)[:6]
+    return _Evaluation(km, rand).out(5)[0][:6]
 
 
 def milenage_compute(
     km: MilenageKeyMaterial, rand: bytes, sqn: bytes, amf: bytes
 ) -> MilenageOutput:
     """Evaluate the full f-function family for one input tuple."""
-    mac_a, mac_s = f1(km, rand, sqn, amf)
-    res, ck, ik, ak = f2345(km, rand)
+    evaluation = _Evaluation(km, rand)
+    out1 = evaluation.out1(sqn, amf)
+    out2, ck, ik, out5 = evaluation.out(2, 3, 4, 5)
     return MilenageOutput(
-        mac_a=mac_a, mac_s=mac_s, res=res, ck=ck, ik=ik, ak=ak,
-        ak_star=f5star(km, rand),
+        mac_a=out1[:8], mac_s=out1[8:], res=out2[8:16], ck=ck, ik=ik, ak=out2[:6],
+        ak_star=out5[:6],
     )
 
 
@@ -243,14 +252,17 @@ class Auts:
 def build_auts(km: MilenageKeyMaterial, rand: bytes, sqn_ms: int) -> Auts:
     """USIM-side resynchronization token for its current highest SQN."""
     sqn_b = sqn_to_bytes(sqn_ms)
-    mac_s = f1(km, rand, sqn_b, RESYNC_AMF)[1]
-    return Auts(conc_sqn_ms=xor_bytes(sqn_b, f5star(km, rand)), mac_s=mac_s)
+    evaluation = _Evaluation(km, rand)
+    mac_s = evaluation.out1(sqn_b, RESYNC_AMF)[8:]
+    ak_star = evaluation.out(5)[0][:6]
+    return Auts(conc_sqn_ms=xor_bytes(sqn_b, ak_star), mac_s=mac_s)
 
 
 def verify_auts(km: MilenageKeyMaterial, rand: bytes, auts: Auts) -> int | None:
     """Recover SQN_MS from an AUTS; None when MAC-S does not verify."""
-    sqn_b = xor_bytes(auts.conc_sqn_ms, f5star(km, rand))
-    expected = f1(km, rand, sqn_b, RESYNC_AMF)[1]
+    evaluation = _Evaluation(km, rand)
+    sqn_b = xor_bytes(auts.conc_sqn_ms, evaluation.out(5)[0][:6])
+    expected = evaluation.out1(sqn_b, RESYNC_AMF)[8:]
     if not hmac.compare_digest(expected, auts.mac_s):
         return None
     return sqn_from_bytes(sqn_b)
@@ -270,13 +282,16 @@ class AuthVector:
 def generate_auth_vector(
     km: MilenageKeyMaterial, rand: bytes, sqn: int, amf: bytes
 ) -> AuthVector:
-    """Compute the quintet a home network issues for one challenge."""
+    """Compute the quintet a home network issues for one challenge (f1 to
+    f5; f5*, which only resynchronization uses, is not computed)."""
     sqn_b = sqn_to_bytes(sqn)
-    out = milenage_compute(km, rand, sqn_b, amf)
+    evaluation = _Evaluation(km, rand)
+    out1 = evaluation.out1(sqn_b, amf)
+    out2, ck, ik = evaluation.out(2, 3, 4)
     return AuthVector(
         rand=bytes(rand),
-        xres=out.res,
-        ck=out.ck,
-        ik=out.ik,
-        autn=build_autn(sqn_b, out.ak, amf, out.mac_a),
+        xres=out2[8:16],
+        ck=ck,
+        ik=ik,
+        autn=build_autn(sqn_b, out2[:6], amf, out1[:8]),
     )

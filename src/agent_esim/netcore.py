@@ -84,7 +84,10 @@ class NetworkCore:
         self._subscribers: dict[str, SubscriberRecord] = {}
         self._pending: dict[str, PendingChallenge] = {}  # in issue order
         self._lock = threading.RLock()  # issuing a challenge expires under it too
-        self._log = RecordLog(Path(state_dir) / "netcore.log", NETCORE_HEADER, self._apply, sync=sync)
+        self._log = RecordLog(
+            Path(state_dir) / "netcore.log", NETCORE_HEADER, self._apply,
+            sync=sync, snapshot=self._snapshot,
+        )
 
     def _apply(self, rec: dict) -> None:
         """The only writer of subscriber and challenge state."""
@@ -113,6 +116,16 @@ class NetworkCore:
         elif kind == "challenge_consumed":
             self._pending.pop(rec["challenge_id"], None)
 
+    def _snapshot(self):
+        """Records that rebuild the subscribers and the pending challenges,
+        in issue order. Replaying a `challenge` sets its subscriber's SQN,
+        so each one here carries the subscriber's current SQN, not the one
+        it was issued at."""
+        for sub in self._subscribers.values():
+            yield _subscriber_record(sub)
+        for challenge in self._pending.values():
+            yield _challenge_record(challenge, self._subscribers[challenge.imsi].sqn_he)
+
     def _require(self, imsi: str) -> SubscriberRecord:
         sub = self._subscribers.get(imsi)
         if sub is None:
@@ -127,16 +140,7 @@ class NetworkCore:
         with self._lock:
             if imsi in self._subscribers:
                 raise DuplicateSubscriber(f"imsi already registered: {imsi}")
-            self._log.append(
-                {
-                    "type": "subscriber",
-                    "imsi": imsi,
-                    "k": key_material.k.hex(),
-                    "opc": key_material.opc.hex(),
-                    "sqn_he": 0,
-                    "amf": amf.hex(),
-                }
-            )
+            self._log.append(_subscriber_record(SubscriberRecord(imsi, key_material, amf=amf)))
 
     def generate_challenge(self, imsi: str) -> dict:
         """Issue a fresh (challenge_id, rand, autn) for delivery to the agent."""
@@ -150,18 +154,10 @@ class NetworkCore:
             vector = generate_auth_vector(sub.key_material, rand, sqn_he, sub.amf)
             challenge_id = secrets.token_hex(16)
             now = self.clock()
-            self._log.append(
-                {
-                    "type": "challenge",
-                    "challenge_id": challenge_id,
-                    "imsi": imsi,
-                    "sqn_he": sqn_he,
-                    "rand": rand.hex(),
-                    "xres": vector.xres.hex(),
-                    "issued_at": now,
-                    "expires_at": now + self.challenge_ttl,
-                }
+            challenge = PendingChallenge(
+                challenge_id, imsi, rand, vector.xres, now, now + self.challenge_ttl
             )
+            self._log.append(_challenge_record(challenge, sqn_he))
             return {"challenge_id": challenge_id, "rand": rand, "autn": vector.autn}
 
     def confirm_res(self, challenge_id: str, res: bytes) -> bool:
@@ -208,3 +204,27 @@ class NetworkCore:
 
     def close(self) -> None:
         self._log.close()
+
+
+def _subscriber_record(sub: SubscriberRecord) -> dict:
+    return {
+        "type": "subscriber",
+        "imsi": sub.imsi,
+        "k": sub.key_material.k.hex(),
+        "opc": sub.key_material.opc.hex(),
+        "sqn_he": sub.sqn_he,
+        "amf": sub.amf.hex(),
+    }
+
+
+def _challenge_record(challenge: PendingChallenge, sqn_he: int) -> dict:
+    return {
+        "type": "challenge",
+        "challenge_id": challenge.challenge_id,
+        "imsi": challenge.imsi,
+        "sqn_he": sqn_he,
+        "rand": challenge.rand.hex(),
+        "xres": challenge.xres.hex(),
+        "issued_at": challenge.issued_at,
+        "expires_at": challenge.expires_at,
+    }

@@ -282,10 +282,18 @@ class PolicyStore:
     def __init__(self, state_dir: str | Path, *, sync: bool = True):
         self._policies: dict[str, DelegationPolicy] = {}
         self._lock = threading.Lock()
-        self._log = RecordLog(Path(state_dir) / "policies.log", POLICY_HEADER, self._apply, sync=sync)
+        self._log = RecordLog(
+            Path(state_dir) / "policies.log", POLICY_HEADER, self._apply,
+            sync=sync, snapshot=self._snapshot,
+        )
 
     def _apply(self, rec: dict) -> None:
         self._policies[rec["profile_id"]] = DelegationPolicy.from_json(rec["policy"])
+
+    def _snapshot(self):
+        """One binding record per profile: the current policy."""
+        for profile_id, policy in self._policies.items():
+            yield {"profile_id": profile_id, "policy": policy.to_json()}
 
     def set(self, profile_id: str, policy: DelegationPolicy) -> str | None:
         """Bind `policy`; returns the previous policy_id, if any."""

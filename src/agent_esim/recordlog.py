@@ -17,6 +17,21 @@ opening the log cuts it off (and records how many bytes it dropped in
 `dropped_bytes`) before appending resumes. A complete frame that does not
 decode still raises.
 
+A store that hands its log a `snapshot` callable lets the log compact:
+once an append leaves the file larger than both `COMPACT_MIN_BYTES` and
+twice its size after the last compaction (or open), the log rewrites
+itself as the snapshot's records, which rebuild the store's current state
+through the same `apply`. The rewrite goes to `<name>.compact`, which is
+fsynced and then renamed over the log before the directory is fsynced and
+the append handle reopened, so a crash at any point leaves either the old
+log or the new one whole; opening a log deletes a leftover `.compact`
+file. Compaction runs after the triggering append is durable and applied,
+so it never fails that append: if it fails before the rename, the old log
+stands and the next try waits for the next doubling; if it fails after,
+the log closes and every later append fails closed. The fsyncs follow
+`sync`, as an append's do. A log without a snapshot (the audit chain,
+whose records are its history) never compacts.
+
 Every reader goes through `FrameWalk`, which maps the file read-only and
 yields one complete frame at a time, so reading a log holds one record in
 memory however long the log is.
@@ -29,21 +44,33 @@ import mmap
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import StorageFailure
+
+COMPACT_MIN_BYTES = 64 * 1024
+COMPACT_SUFFIX = ".compact"
 
 
 class RecordLog:
     def __init__(
-        self, path: str | Path, header: str, apply: Callable[[dict], None], *, sync: bool = True
+        self,
+        path: str | Path,
+        header: str,
+        apply: Callable[[dict], None],
+        *,
+        sync: bool = True,
+        snapshot: Callable[[], Iterable[dict]] | None = None,
     ):
         self.path = Path(path)
         self.header = header
         self.sync = sync
         self._apply = apply
+        self._snapshot = snapshot
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._compact_path = self.path.with_name(self.path.name + COMPACT_SUFFIX)
+        self._compact_path.unlink(missing_ok=True)  # an interrupted compaction
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self.dropped_bytes = 0
         if not fresh:
@@ -57,13 +84,13 @@ class RecordLog:
         self._fh = open(self.path, "ab", buffering=0)
         if fresh:
             self.committed_end = self._fh.write(header.encode("ascii") + b"\n")
+        self._compacted_end = self.committed_end
 
     def append(self, record: dict[str, Any]) -> None:
         """Write `record` durably, then apply it; raises StorageFailure
         (and applies nothing, and leaves no byte of it in the file) when
-        the write fails."""
-        data = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        frame = len(data).to_bytes(4, "big") + data
+        the write fails. May then compact the log (see the module doc)."""
+        frame = _frame(_encode(record))
         with self._lock:
             if self._fh is None:
                 raise StorageFailure(f"{self.path}: log is closed")
@@ -77,6 +104,31 @@ class RecordLog:
                 raise StorageFailure(f"{self.path}: append failed: {err}") from err
             self.committed_end += len(frame)
             self._apply(record)
+            if self._snapshot is not None and self.committed_end > max(
+                COMPACT_MIN_BYTES, 2 * self._compacted_end
+            ):
+                self._compact()
+
+    def _compact(self) -> None:
+        """Rewrite the log as the store's snapshot (under the lock, after an
+        acknowledged append, which this never fails)."""
+        temp = self._compact_path
+        try:
+            size = write_frames(temp, self.header, map(_encode, self._snapshot()), sync=self.sync)
+            os.replace(temp, self.path)
+        except OSError:  # the old log is intact and still holds every record
+            temp.unlink(missing_ok=True)
+            self._compacted_end = self.committed_end  # try again at the next doubling
+            return
+        old, self._fh = self._fh, None  # appended to the replaced file, now unlinked
+        self.committed_end = self._compacted_end = size
+        try:
+            old.close()
+            if self.sync:
+                _fsync_dir(self.path.parent)
+            self._fh = open(self.path, "ab", buffering=0)
+        except OSError:
+            pass  # left closed, like a failed cut: every later append fails closed
 
     def _cut_back(self) -> None:
         """Drop whatever a failed append left past `committed_end`; if that
@@ -165,20 +217,44 @@ def read_frames(path: str | Path) -> tuple[str, list[bytes]]:
     return walk.header, frames
 
 
-def write_frames(path: str | Path, header: str, frames: list[bytes]) -> None:
-    """Rewrite a log wholesale (maintenance/test tooling, not the hot path)."""
+def write_frames(
+    path: str | Path, header: str, frames: Iterable[bytes], *, sync: bool = True
+) -> int:
+    """Write a whole log from raw record payloads, streamed one at a time,
+    and (by default) fsync it; returns the file's size."""
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        for frame in frames:
-            fh.write(len(frame).to_bytes(4, "big") + frame)
+        size = fh.write(header.encode("ascii") + b"\n")
+        for payload in frames:
+            size += fh.write(_frame(payload))
         fh.flush()
-        os.fsync(fh.fileno())
+        if sync:
+            os.fsync(fh.fileno())
+    return size
 
 
-def iter_records(path: str | Path, header: str) -> Iterator[dict[str, Any]]:
-    """Decode a log's records; an incomplete final frame raises once the
-    complete ones before it are yielded."""
-    with FrameWalk(path) as walk:
+def _encode(record: dict[str, Any]) -> bytes:
+    return json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+def _frame(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def _fsync_dir(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def iter_records(
+    path: str | Path, header: str, end: int | None = None
+) -> Iterator[dict[str, Any]]:
+    """Decode a log's records, or those in its first `end` bytes; an
+    incomplete final frame raises once the complete ones before it are
+    yielded."""
+    with FrameWalk(path, end) as walk:
         yield from decode_records(walk, header)
     if walk.end < walk.size:
         raise StorageFailure(f"{path}: frame runs past end of file at byte {walk.end}")

@@ -185,7 +185,10 @@ class SimVault:
         self._iccids: set[str] = set()
         self._locks: dict[str, threading.RLock] = {}
         self._registry_lock = threading.Lock()
-        self._log = RecordLog(Path(state_dir) / "vault.log", VAULT_HEADER, self._apply, sync=sync)
+        self._log = RecordLog(
+            Path(state_dir) / "vault.log", VAULT_HEADER, self._apply,
+            sync=sync, snapshot=self._snapshot,
+        )
 
     # -- persistence ---------------------------------------------------------
 
@@ -201,6 +204,12 @@ class SimVault:
             self._profiles[rec["profile_id"]].state = ProfileState(rec["state"])
         elif kind == "sqn":
             self._profiles[rec["profile_id"]].sqn_ms = int(rec["sqn_ms"])
+
+    def _snapshot(self):
+        """Records that rebuild the current profiles: one `install` each,
+        carrying its state and SQN (a revoked profile keeps its keys)."""
+        for profile in self._profiles.values():
+            yield {"type": "install", "profile": _profile_to_record(profile)}
 
     def _lock_for(self, profile_id: str) -> threading.RLock:
         with self._registry_lock:

@@ -167,6 +167,16 @@ def test_load_roundtrip_preserves_hashes(log):
     assert verify_audit_chain(r.to_json() for r in loaded).ok
 
 
+def test_records_of_a_live_log_skip_an_append_in_flight(log):
+    acknowledged = append_n(log, 2)
+    with open(log.path, "ab") as fh:  # half of a frame another append is writing
+        fh.write((200).to_bytes(4, "big") + b'{"seq":')
+    records = log.records()
+    assert [r.record_hash for r in records] == [r.record_hash for r in acknowledged]
+    status = log.verify()
+    assert status.ok and status.length == len(records)
+
+
 def test_torn_final_record_is_a_break_after_the_intact_ones(tmp_path):
     audit = AuditLog(tmp_path / "state")
     kept = append_n(audit, 3)[:2]

@@ -9,6 +9,7 @@ reference implementation, so they are an independent oracle for this code.
 import secrets
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,9 @@ from agent_esim.milenage import (
     build_autn,
     build_auts,
     derive_opc,
+    f1,
     f2345,
+    f5star,
     generate_auth_vector,
     milenage_compute,
     parse_autn,
@@ -230,3 +233,57 @@ def test_sqn_byte_helpers():
         sqn_to_bytes(1 << 48)
     with pytest.raises(InvalidKeyMaterial):
         sqn_to_bytes(-1)
+
+
+def _per_block_reference(k, opc, rand, sqn, amf):
+    """MILENAGE as the specification lays it out, one AES-128 context per
+    block and TEMP recomputed for every output: (f1, f1*, f2, f3, f4, f5, f5*)."""
+
+    def encrypt(block):
+        enc = Cipher(algorithms.AES(k), modes.ECB()).encryptor()
+        return enc.update(block) + enc.finalize()
+
+    def rot(block, bits):
+        return block[bits // 8 :] + block[: bits // 8]
+
+    def const(last):
+        return bytes(15) + bytes([last])
+
+    def temp():
+        return encrypt(xor_bytes(rand, opc))
+
+    in1 = sqn + amf + sqn + amf
+    out1 = xor_bytes(encrypt(xor_bytes(xor_bytes(temp(), rot(xor_bytes(in1, opc), 64)), const(0))), opc)
+    outs = [
+        xor_bytes(encrypt(xor_bytes(rot(xor_bytes(temp(), opc), r), const(c))), opc)
+        for r, c in ((0, 1), (32, 2), (64, 4), (96, 8))
+    ]
+    out2, out3, out4, out5 = outs
+    return out1[:8], out1[8:], out2[8:], out3, out4, out2[:6], out5[:6]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.binary(min_size=16, max_size=16),
+    opc=st.binary(min_size=16, max_size=16),
+    rand=st.binary(min_size=16, max_size=16),
+    sqn=st.binary(min_size=6, max_size=6),
+    amf=st.binary(min_size=2, max_size=2),
+)
+def test_one_cipher_kernel_matches_per_block_reference(k, opc, rand, sqn, amf):
+    km = MilenageKeyMaterial(k=k, opc=opc)
+    mac_a, mac_s, res, ck, ik, ak, ak_star = _per_block_reference(k, opc, rand, sqn, amf)
+    out = milenage_compute(km, rand, sqn, amf)
+    assert (out.mac_a, out.mac_s, out.res, out.ck, out.ik, out.ak, out.ak_star) == (
+        mac_a, mac_s, res, ck, ik, ak, ak_star
+    )
+    assert f1(km, rand, sqn, amf) == (mac_a, mac_s)
+    assert f2345(km, rand) == (res, ck, ik, ak)
+    assert f5star(km, rand) == ak_star
+    vector = generate_auth_vector(km, rand, sqn_from_bytes(sqn), amf)
+    assert (vector.xres, vector.ck, vector.ik) == (res, ck, ik)
+    assert vector.autn == xor_bytes(sqn, ak) + amf + mac_a
+    auts = build_auts(km, rand, sqn_from_bytes(sqn))
+    resync_mac_s = _per_block_reference(k, opc, rand, sqn, bytes(2))[1]
+    assert auts == Auts(conc_sqn_ms=xor_bytes(sqn, ak_star), mac_s=resync_mac_s)
+    assert verify_auts(km, rand, auts) == sqn_from_bytes(sqn)

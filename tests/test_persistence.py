@@ -6,6 +6,7 @@ import random
 import secrets
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -63,11 +64,13 @@ def _audit(path):
     return log
 
 
+def _netcore_state(core):
+    return {imsi: sub.sqn_he for imsi, sub in core._subscribers.items()}, dict(core._pending)
+
+
 OBSERVE = {
     SimVault: lambda v: [v.get_profile_status(pid) for pid in v.profile_ids()],
-    NetworkCore: lambda c: (
-        {imsi: c.subscriber_sqn(imsi) for imsi in c._subscribers}, c.pending_count()
-    ),
+    NetworkCore: _netcore_state,
     PolicyStore: lambda p: p.get("p-1"),
     IdentifierAllocator: lambda a: a._next,
     AuditLog: lambda a: (a._seq, a._last_hash),
@@ -151,10 +154,12 @@ KINDS = (
 )
 
 
-def test_restart_rebuilds_live_state(tmp_path):
+def _drive_deck(state_dir, rounds=8):
+    """Drive a shuffled deck of every kind of write through a live stack;
+    returns the stack (still open) and its clock."""
     rng = random.Random(20261018)
     clock = FakeClock(1_700_000_000.0)
-    stack = Stack(tmp_path / "state", clock=clock, sync=False)
+    stack = Stack(state_dir, clock=clock, sync=False)
     relying = RelyingService(stack.netcore)
     agents = {}  # profile_id -> (imsi, measurement)
     states = {}  # profile_id -> ProfileState, as the test drives them
@@ -185,7 +190,7 @@ def test_restart_rebuilds_live_state(tmp_path):
 
     for _ in range(3):
         provision()
-    deck = list(KINDS) * 8
+    deck = list(KINDS) * rounds
     rng.shuffle(deck)
     for kind in deck:
         if kind not in ("provision", "tick", "sign") and not pick(ProfileState.ACTIVE):
@@ -239,6 +244,10 @@ def test_restart_rebuilds_live_state(tmp_path):
 
     assert outcomes == {"success", "mac_failure", "sync_failure"}
     assert stack.gateway.verify_audit().ok
+    return stack, clock
+
+
+def _assert_restart_rebuilds(stack, clock):
     live = _snapshot(stack)
     assert live["pending"]
     rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir), clock=clock, sync=False)
@@ -247,6 +256,149 @@ def test_restart_rebuilds_live_state(tmp_path):
     finally:
         rebuilt.close()
         stack.close()
+
+
+def test_restart_rebuilds_live_state(tmp_path):
+    _assert_restart_rebuilds(*_drive_deck(tmp_path / "state"))
+
+
+def test_restart_rebuilds_live_state_after_compactions(tmp_path, monkeypatch):
+    monkeypatch.setattr(recordlog, "COMPACT_MIN_BYTES", 128)
+    compactions = Counter()
+    compact = recordlog.RecordLog._compact
+
+    def counted(log):
+        compactions[log.path.name] += 1
+        compact(log)
+
+    monkeypatch.setattr(recordlog.RecordLog, "_compact", counted)
+    stack, clock = _drive_deck(tmp_path / "state", rounds=16)
+    assert min(
+        compactions[name] for name in ("vault.log", "netcore.log", "policies.log", "alloc.log")
+    ) >= 3, compactions
+    assert compactions["audit.log"] == 0
+    assert not list(stack.state_dir.glob("*" + recordlog.COMPACT_SUFFIX))
+    _assert_restart_rebuilds(stack, clock)
+
+
+def test_compacted_netcore_keeps_sqn_past_a_pending_older_challenge(tmp_path):
+    core = _core(tmp_path / "state")  # one challenge pending at SQN 1
+    newer = core.generate_challenge(IMSI)
+    core.confirm_res(newer["challenge_id"], bytes(8))
+    live = _netcore_state(core)
+    with core._log._lock:
+        core._log._compact()
+    core.close()
+    reopened = NetworkCore(tmp_path / "state")
+    assert _netcore_state(reopened) == live
+    assert reopened.subscriber_sqn(IMSI) == 2
+    reopened.close()
+
+
+@pytest.mark.parametrize("fault", ["temp-write", "temp-fsync", "replace", "reopen"])
+def test_failed_compaction_rebuilds_the_acknowledged_state(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(recordlog, "COMPACT_MIN_BYTES", 300)
+    core = _core(tmp_path / "state")
+    temp = core._log._compact_path
+    failed = []
+
+    def fail(*args, **kwargs):
+        failed.append(args)
+        raise OSError(errno.EIO, "injected failure")
+
+    with monkeypatch.context() as patch:
+        if fault == "temp-write":
+            patch.setattr(recordlog, "write_frames", fail)
+        elif fault == "temp-fsync":
+            fsync = recordlog.os.fsync
+            patch.setattr(
+                recordlog.os, "fsync",
+                lambda fd: fail() if temp.exists() else fsync(fd),
+            )
+        elif fault == "replace":
+            patch.setattr(recordlog.os, "replace", fail)
+        else:
+            real_open = open
+            patch.setattr(
+                recordlog, "open",
+                lambda f, mode="r", **kw: fail() if mode == "ab" else real_open(f, mode, **kw),
+                raising=False,
+            )
+        while not failed:
+            core.generate_challenge(IMSI)  # acknowledged, compaction or not
+    acknowledged = _netcore_state(core)
+    assert not temp.exists()
+    if fault == "reopen":  # the rename happened: the log fails closed
+        with pytest.raises(StorageFailure):
+            core.generate_challenge(IMSI)
+    else:
+        core.generate_challenge(IMSI)
+        acknowledged = _netcore_state(core)
+    assert _netcore_state(core) == acknowledged
+    core.close()
+    reopened = NetworkCore(tmp_path / "state")
+    assert _netcore_state(reopened) == acknowledged
+    reopened.close()
+
+
+def test_aka_traffic_keeps_the_logs_bounded(tmp_path, monkeypatch):
+    stack = Stack(tmp_path / "state", sync=False)
+    relying = RelyingService(stack.netcore)
+    result, measurement = stack.provision(policy=permissive_policy(max_ops=10_000))
+    pid, imsi = result["profile_id"], result["imsi"]
+    stores = {"netcore.log": stack.netcore, "vault.log": stack.vault}
+    # per log: compactions, records in the last snapshot, appends since it
+    compactions, snapshot_records, since = Counter(), Counter(), Counter()
+    append, compact = recordlog.RecordLog.append, recordlog.RecordLog._compact
+
+    def counted_append(log, record):
+        since[log.path.name] += 1
+        append(log, record)
+
+    def counted_compact(log):
+        compactions[log.path.name] += 1
+        snapshot_records[log.path.name] = sum(1 for _ in log._snapshot())
+        since[log.path.name] = 0
+        compact(log)
+
+    monkeypatch.setattr(recordlog.RecordLog, "append", counted_append)
+    monkeypatch.setattr(recordlog.RecordLog, "_compact", counted_compact)
+    largest = Counter()
+    for _ in range(2000):
+        challenge = relying.request_challenge(imsi)
+        outcome = stack.gateway.handle_authenticate(
+            pid, challenge["rand"], challenge["autn"], stack.token_for(measurement), "127.0.0.1"
+        )
+        assert relying.submit_response(challenge["challenge_id"], outcome.res)
+        for name, store in stores.items():
+            largest[name] = max(largest[name], store._log.path.stat().st_size)
+    sqn_ms = stack.vault.get_profile_status(pid)["sqn_ms"]
+    for name, store in stores.items():
+        snapshot = sum(len(recordlog._frame(recordlog._encode(r))) for r in store._snapshot())
+        assert largest[name] < 2 * recordlog.COMPACT_MIN_BYTES + snapshot, name
+        assert compactions[name] >= 1 and snapshot_records[name] <= 2, name
+    stack.close()
+
+    applied = Counter()
+    for name, store_type in (("netcore.log", NetworkCore), ("vault.log", SimVault)):
+        apply = store_type._apply
+
+        def counting(store, rec, name=name, apply=apply):
+            applied[name] += 1
+            apply(store, rec)
+
+        monkeypatch.setattr(store_type, "_apply", counting)
+    rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir), sync=False)
+    try:
+        # the replay reads the last snapshot (one profile; one subscriber and
+        # at most one pending challenge) and the appends after it, which fit
+        # in COMPACT_MIN_BYTES: not the 2000 flows' history
+        for name in stores:
+            assert applied[name] == snapshot_records[name] + since[name] < 2000, name
+        assert rebuilt.vault.get_profile_status(pid)["sqn_ms"] == sqn_ms
+        assert rebuilt.netcore.subscriber_sqn(imsi) == 2000
+    finally:
+        rebuilt.close()
 
 
 @pytest.mark.parametrize("store", ["audit", "vault"])

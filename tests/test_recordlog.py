@@ -194,3 +194,183 @@ def test_scan_for_secrets_finds_raw_and_hex():
     assert scan_for_secrets(secret.hex().encode(), [secret]) == [secret]
     assert scan_for_secrets(secret.hex().upper().encode(), [secret]) == [secret]
     assert scan_for_secrets(b"clean payload", [secret]) == []
+
+
+class KeyValueStore:
+    """A minimal store: the last value per key, with a compacting log."""
+
+    def __init__(self, path):
+        self.values = {}
+        self.applied = 0
+        self.log = RecordLog(path, "TEST/1", self._apply, snapshot=self._snapshot)
+
+    def _apply(self, rec):
+        self.applied += 1
+        self.values[rec["k"]] = rec["v"]
+
+    def _snapshot(self):
+        for k, v in self.values.items():
+            yield {"k": k, "v": v}
+
+
+@pytest.fixture
+def small_compactions(monkeypatch):
+    monkeypatch.setattr(recordlog, "COMPACT_MIN_BYTES", 300)
+
+
+def _fill_until_compacted(store, keys=3):
+    """Append until the log next compacts; returns the size that append
+    took it to before the compaction."""
+    i = 0
+    while True:
+        record = {"k": i % keys, "v": i}
+        grown = store.log.committed_end + len(recordlog._frame(recordlog._encode(record)))
+        store.log.append(record)
+        i += 1
+        if store.log.committed_end < grown:
+            return grown
+
+
+def test_compaction_rewrites_the_log_as_its_snapshot(tmp_path, small_compactions):
+    path = tmp_path / "kv.log"
+    store = KeyValueStore(path)
+    peaks = [_fill_until_compacted(store) for _ in range(4)]
+    assert all(recordlog.COMPACT_MIN_BYTES < peak for peak in peaks)
+    assert list(iter_records(path, "TEST/1")) == [{"k": k, "v": v} for k, v in store.values.items()]
+    assert path.stat().st_size == store.log.committed_end
+    assert not store.log._compact_path.exists()
+    store.log.append({"k": "late", "v": 1})
+    store.log.close()
+    reopened = KeyValueStore(path)
+    assert reopened.values == store.values
+    assert reopened.applied == len(store.values)
+    reopened.log.close()
+
+
+def test_compaction_waits_for_the_log_to_double(tmp_path, small_compactions):
+    store = KeyValueStore(tmp_path / "kv.log")
+    for i in range(20):  # 20 live keys make a snapshot larger than half the minimum
+        store.log.append({"k": i, "v": "x" * 10})
+    _fill_until_compacted(store, keys=20)
+    compacted = store.log.committed_end
+    assert compacted > recordlog.COMPACT_MIN_BYTES // 2
+    assert _fill_until_compacted(store, keys=20) > 2 * compacted
+    store.log.close()
+
+
+def test_log_without_snapshot_never_compacts(tmp_path, small_compactions):
+    log = RecordLog(tmp_path / "a.log", "TEST/1", ignore)
+    for i in range(100):
+        log.append({"i": i})
+    assert log.committed_end == (tmp_path / "a.log").stat().st_size > 100 * 8
+    log.close()
+
+
+def test_open_deletes_a_leftover_compaction(tmp_path):
+    path = tmp_path / "kv.log"
+    store = KeyValueStore(path)
+    store.log.append({"k": "a", "v": 1})
+    store.log.close()
+    leftover = store.log._compact_path
+    leftover.write_bytes(b"TEST/1\n\x00\x00")  # a crash while it was written
+    reopened = KeyValueStore(path)
+    assert not leftover.exists()
+    assert reopened.values == {"a": 1}
+    reopened.log.close()
+
+
+def _fail_compact_fsync(patch, log, failed):
+    fsync = recordlog.os.fsync
+
+    def fsync_failing(fd):
+        temp = log._compact_path
+        if temp.exists() and recordlog.os.fstat(fd).st_ino == temp.stat().st_ino:
+            failed.append(fd)
+            raise OSError(errno.EIO, "injected failure")
+        fsync(fd)
+
+    patch.setattr(recordlog.os, "fsync", fsync_failing)
+
+
+def _fail_os_call(name, when=lambda *args: True):
+    def inject(patch, log, failed):
+        real = getattr(recordlog.os, name)
+
+        def call(*args):
+            if not failed and when(*args):
+                failed.append(args)
+                raise OSError(errno.EIO, "injected failure")
+            return real(*args)
+
+        patch.setattr(recordlog.os, name, call)
+
+    return inject
+
+
+def _fail_reopen(patch, log, failed):
+    def fake_open(file, mode="r", *args, **kwargs):
+        if mode == "ab" and not failed:
+            failed.append(file)
+            raise OSError(errno.EMFILE, "injected failure")
+        return open(file, mode, *args, **kwargs)
+
+    patch.setattr(recordlog, "open", fake_open, raising=False)
+
+
+def _fail_mid_write(patch, log, failed):
+    snapshot = log._snapshot
+
+    def broken():
+        yield from list(snapshot())[:1]
+        failed.append(True)
+        raise OSError(errno.ENOSPC, "injected failure")
+
+    patch.setattr(log, "_snapshot", broken)
+
+
+# fault -> (what makes it fail, whether the rename had happened)
+COMPACTION_FAULTS = {
+    "mid-write": (_fail_mid_write, False),
+    "temp-fsync": (_fail_compact_fsync, False),
+    "replace": (_fail_os_call("replace"), False),
+    "dir-fsync": (_fail_os_call("open", lambda path, flags, *_: flags == recordlog.os.O_RDONLY), True),
+    "reopen": (_fail_reopen, True),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(COMPACTION_FAULTS))
+def test_failed_compaction_acknowledges_its_append(tmp_path, monkeypatch, small_compactions, fault):
+    inject, replaced = COMPACTION_FAULTS[fault]
+    path = tmp_path / "kv.log"
+    store = KeyValueStore(path)
+    failed = []
+    with monkeypatch.context() as patch:
+        inject(patch, store.log, failed)
+        i = 0
+        while not failed:  # every one of these appends is acknowledged
+            store.log.append({"k": i % 3, "v": i})
+            i += 1
+    acknowledged = dict(store.values)
+    assert not store.log._compact_path.exists()
+    if replaced:  # the log closed: later appends fail closed
+        with pytest.raises(StorageFailure):
+            store.log.append({"k": "late", "v": 1})
+    else:  # the old log stands; the next try waits for the next doubling
+        assert path.stat().st_size == store.log.committed_end
+        assert store.log._compacted_end == store.log.committed_end
+        store.log.append({"k": "late", "v": 1})
+        acknowledged["late"] = 1
+        _fill_until_compacted(store)
+        acknowledged = dict(store.values)
+    assert store.values == acknowledged
+    store.log.close()
+    reopened = KeyValueStore(path)
+    assert reopened.values == acknowledged
+    reopened.log.close()
+
+
+def test_write_frames_streams_any_iterable(tmp_path):
+    path = tmp_path / "g.log"
+    size = write_frames(path, "TEST/1", (bytes([65 + i]) for i in range(3)))
+    assert size == path.stat().st_size
+    assert read_frames(path) == ("TEST/1", [b"A", b"B", b"C"])
