@@ -133,7 +133,9 @@ class ChainStatus:
 class AuditLog:
     """Durable writer: every append is flushed (and fsynced) before return.
     Its log takes no snapshot, so it is never compacted: the chain is the
-    history."""
+    history. It checkpoints instead, so a reopen applies the checkpointed
+    prefix's last record and the records after it, not the whole chain;
+    `verify()` and `records()` still read every record."""
 
     def __init__(
         self,
@@ -150,6 +152,8 @@ class AuditLog:
         self._log = RecordLog(self.path, AUDIT_HEADER, self._apply, sync=sync)
 
     def _apply(self, rec: dict) -> None:
+        # The last record alone rebuilds this state, as the log's checkpoint
+        # requires of a store that gives no snapshot.
         self._seq = int(rec["seq"])
         self._last_hash = bytes.fromhex(rec["record_hash"])
 

@@ -42,7 +42,10 @@ connection at the next request. Each response goes out in one write:
 headers and body as two small writes would hold the body back behind
 Nagle's algorithm until the client's delayed ACK. A connection idle for
 IDLE_TIMEOUT_S is closed, which gives its thread back, and
-`GatewayHTTPServer.stop` shuts down every connection it still holds.
+`GatewayHTTPServer.stop` shuts down every connection it still holds. At
+most MAX_CONNECTIONS connections are open at once: one past that gets a
+JSON 503 with `Connection: close` from the accepting thread and is closed
+without a thread of its own.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ ADMIN_SECRET_HEADER = "X-Admin-Secret"
 
 # Seconds a kept-alive connection may wait for its next request.
 IDLE_TIMEOUT_S = 15.0
+# Most connections open at once, each holding one thread; more are refused.
+MAX_CONNECTIONS = 256
 # Largest message body either end reads; a bigger request is refused unread.
 MAX_BODY_BYTES = 1 << 20
 # Longest start line or header line, and most header lines, in a message head.
@@ -130,6 +135,21 @@ class FramingError(Exception):
         super().__init__(message)
         self.status = status
         self.error = error
+
+
+def _response(status: int, payload: dict, date: str, extra_headers=None, close=False) -> bytes:
+    """A whole JSON response, head and body, ready for one write."""
+    data = json.dumps(payload).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+        f"Server: {SERVER_NAME}\r\nDate: {date}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+    )
+    for name, value in (extra_headers or {}).items():
+        head += f"{name}: {value}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return head.encode("latin-1") + b"\r\n" + data
 
 
 def _head_line(raw: bytes) -> str:
@@ -312,18 +332,12 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send(501, {"error": "NotImplemented", "message": f"method {method}"})
 
     def _send(self, status: int, payload: dict, extra_headers: dict | None = None) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
-            f"Server: {SERVER_NAME}\r\nDate: {self.server.http_date()}\r\n"
-            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
-        )
-        for name, value in (extra_headers or {}).items():
-            head += f"{name}: {value}\r\n"
-        if not self.keep_alive:
-            head += "Connection: close\r\n"
         # Head and body in one write (see the module docstring for why).
-        self.request.sendall(head.encode("latin-1") + b"\r\n" + data)
+        self.request.sendall(
+            _response(
+                status, payload, self.server.http_date(), extra_headers, not self.keep_alive
+            )
+        )
 
     # -- helpers ---------------------------------------------------------------
 
@@ -443,8 +457,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _ConnectionServer(socketserver.ThreadingTCPServer):
-    """Runs each connection on its own daemon thread and keeps each open
-    connection with its thread, so `close_connections` can end them."""
+    """Runs each connection on its own daemon thread, up to MAX_CONNECTIONS
+    at once, and keeps each open connection with its thread, so
+    `close_connections` can end them."""
 
     allow_reuse_address = True
 
@@ -464,12 +479,22 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
         return text
 
     def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
         with self._open_lock:
-            self._open[request] = thread
-        thread.start()
+            thread = None
+            if len(self._open) < MAX_CONNECTIONS:
+                thread = threading.Thread(
+                    target=self.process_request_thread, args=(request, client_address), daemon=True
+                )
+                self._open[request] = thread
+        if thread is not None:
+            thread.start()
+            return
+        refusal = {"error": "Unavailable", "message": f"over {MAX_CONNECTIONS} open connections"}
+        try:  # a fresh socket's send buffer holds this small reply: no wait
+            request.sendall(_response(503, refusal, self.http_date(), close=True))
+        except OSError:
+            pass
+        self.shutdown_request(request)
 
     def shutdown_request(self, request) -> None:
         with self._open_lock:
@@ -493,7 +518,8 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
 
 
 class GatewayHTTPServer:
-    """Threaded HTTP front end; one OS thread per open connection."""
+    """Threaded HTTP front end; one OS thread per open connection, up to
+    MAX_CONNECTIONS."""
 
     def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
         handler = type(

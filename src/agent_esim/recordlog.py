@@ -29,8 +29,25 @@ file. Compaction runs after the triggering append is durable and applied,
 so it never fails that append: if it fails before the rename, the old log
 stands and the next try waits for the next doubling; if it fails after,
 the log closes and every later append fails closed. The fsyncs follow
-`sync`, as an append's do. A log without a snapshot (the audit chain,
-whose records are its history) never compacts.
+`sync`, as an append's do.
+
+A log without a snapshot (the audit chain, whose records are its history)
+never compacts; it checkpoints instead. Its store must be rebuilt by
+applying its last record alone, as the audit chain's is (its sequence
+number and hash). The log keeps `zlib.crc32` over its bytes up to
+`committed_end`, and once that end has moved `COMPACT_MIN_BYTES` past the
+last checkpoint it writes `<name>.ckpt`: the end, the CRC and the offset of
+the last frame before the end, written to `<name>.ckpt.tmp` and renamed,
+under the lock after the append is durable and applied. A failed write
+removes the temp file and leaves the append acknowledged. A checkpoint is
+never fsynced, because an open trusts it only after checking it against
+the log: the CRC of the first `end` bytes must match and the frame at
+`last_at` must end exactly at `end` and decode. Then the open applies that
+one record and walks only the frames after it; otherwise (no checkpoint, a
+stale or torn one, a changed byte) it walks the whole log as above. So a
+lost checkpoint costs a full replay and never a check: a matching prefix is
+byte for byte what an earlier process acknowledged or decoded whole.
+Opening a log deletes a leftover `.ckpt.tmp` file.
 
 Every reader goes through `FrameWalk`, which maps the file read-only and
 yields one complete frame at a time, so reading a log holds one record in
@@ -43,6 +60,7 @@ import json
 import mmap
 import os
 import threading
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -50,6 +68,7 @@ from .errors import StorageFailure
 
 COMPACT_MIN_BYTES = 64 * 1024
 COMPACT_SUFFIX = ".compact"
+CHECKPOINT_SUFFIX = ".ckpt"
 
 
 class RecordLog:
@@ -71,20 +90,58 @@ class RecordLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._compact_path = self.path.with_name(self.path.name + COMPACT_SUFFIX)
         self._compact_path.unlink(missing_ok=True)  # an interrupted compaction
+        self._checkpoint_path = self.path.with_name(self.path.name + CHECKPOINT_SUFFIX)
+        self._checkpoint_temp = self._checkpoint_path.with_name(self._checkpoint_path.name + ".tmp")
+        self._checkpoint_temp.unlink(missing_ok=True)  # an interrupted checkpoint
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self.dropped_bytes = 0
+        # kept by a log without a snapshot: its last checkpoint's end, and
+        # the CRC of its bytes up to `committed_end`
+        self._checkpoint_end = self._crc = 0
         if not fresh:
             with FrameWalk(self.path) as walk:
+                start = 0
+                if snapshot is None and (resumed := self._resume(walk)) is not None:
+                    last, self._crc = resumed
+                    start = self._checkpoint_end = walk.end
+                    apply(last)
                 for record in decode_records(walk, header):
                     apply(record)
+                if snapshot is None:
+                    self._crc = walk.crc32(start, self._crc)
             if walk.end < walk.size:
                 os.truncate(self.path, walk.end)
                 self.dropped_bytes = walk.size - walk.end
             self.committed_end = walk.end
         self._fh = open(self.path, "ab", buffering=0)
         if fresh:
-            self.committed_end = self._fh.write(header.encode("ascii") + b"\n")
+            head = header.encode("ascii") + b"\n"
+            self.committed_end = self._fh.write(head)
+            self._crc = zlib.crc32(head)
         self._compacted_end = self.committed_end
+
+    def _resume(self, walk: FrameWalk) -> tuple[dict, int] | None:
+        """If the checkpoint holds for the walked log, move `walk` past the
+        prefix it vouches for and return that prefix's last record and CRC;
+        else None, leaving `walk` where it was."""
+        try:
+            (point,) = list(iter_records(self._checkpoint_path, self.header))
+            end, crc, last_at = (int(point[key]) for key in ("end", "crc32", "last_at"))
+        except (OSError, StorageFailure, KeyError, TypeError, ValueError):
+            return None
+        if walk.header != self.header or not walk.end <= last_at < end <= walk.size:
+            return None
+        start, walk.end = walk.end, end
+        if walk.crc32(0) == crc:
+            walk.end = last_at
+            frame = next(iter(walk), None)
+            if frame is not None and walk.end == end:
+                try:
+                    return json.loads(frame.decode("utf-8")), crc
+                except ValueError:  # UnicodeDecodeError is one too
+                    pass
+        walk.end = start
+        return None
 
     def append(self, record: dict[str, Any]) -> None:
         """Write `record` durably, then apply it; raises StorageFailure
@@ -104,10 +161,25 @@ class RecordLog:
                 raise StorageFailure(f"{self.path}: append failed: {err}") from err
             self.committed_end += len(frame)
             self._apply(record)
-            if self._snapshot is not None and self.committed_end > max(
-                COMPACT_MIN_BYTES, 2 * self._compacted_end
-            ):
+            if self._snapshot is None:
+                self._crc = zlib.crc32(frame, self._crc)
+                if self.committed_end - self._checkpoint_end >= COMPACT_MIN_BYTES:
+                    self._checkpoint(self.committed_end - len(frame))
+            elif self.committed_end > max(COMPACT_MIN_BYTES, 2 * self._compacted_end):
                 self._compact()
+
+    def _checkpoint(self, last_at: int) -> None:
+        """Record that the log is whole up to `committed_end`, whose last
+        frame starts at `last_at` (under the lock, after an acknowledged
+        append, which this never fails). Unsynced: see the module doc."""
+        self._checkpoint_end = self.committed_end  # a failure waits for the next step
+        point = {"end": self.committed_end, "crc32": self._crc, "last_at": last_at}
+        temp = self._checkpoint_temp
+        try:
+            write_frames(temp, self.header, [_encode(point)], sync=False)
+            os.replace(temp, self._checkpoint_path)
+        except OSError:
+            temp.unlink(missing_ok=True)
 
     def _compact(self) -> None:
         """Rewrite the log as the store's snapshot (under the lock, after an
@@ -183,6 +255,12 @@ class FrameWalk:
             self.end = stop
             yield data[pos + 4 : stop]
             pos = stop
+
+    def crc32(self, start: int, value: int = 0) -> int:
+        """`zlib.crc32` of the bytes from `start` to `end`, continuing
+        `value`; read through the mapping, never copied."""
+        with memoryview(self._data)[start : self.end] as view:
+            return zlib.crc32(view, value)
 
     def close(self) -> None:
         if isinstance(self._data, mmap.mmap):

@@ -4,6 +4,8 @@ the server's connection lifecycle."""
 import http.client
 import json
 import secrets
+import selectors
+import socket
 import sys
 import threading
 import time
@@ -192,3 +194,45 @@ def test_stop_ends_kept_connections(tmp_path):
         for client in clients:
             client.close()
         stack.close()
+
+
+def _wait_until_no_connection_is_open(server):
+    deadline = time.monotonic() + 10
+    while server._httpd._open and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not server._httpd._open
+
+
+def test_connections_past_the_cap_are_refused_without_a_thread(served, monkeypatch):  # noqa: F811
+    stack, server = served
+    profile_id, token = _signer(stack, server)
+    _wait_until_no_connection_is_open(server)  # the signer's admin connection
+    monkeypatch.setattr(httpapi, "MAX_CONNECTIONS", 8)
+    before = threading.active_count()
+    silent = [socket.create_connection(server.address, timeout=5) for _ in range(20)]
+    try:
+        refused = []
+        with selectors.DefaultSelector() as waiting:
+            for sock in silent:
+                waiting.register(sock, selectors.EVENT_READ)
+            deadline = time.monotonic() + 10
+            while len(refused) < 12 and time.monotonic() < deadline:
+                for key, _ in waiting.select(timeout=0.5):
+                    waiting.unregister(key.fileobj)
+                    refused.append(key.fileobj)
+            assert not waiting.select(timeout=0.3)  # the 8 admitted ones hear nothing
+        assert len(refused) == 12
+        assert threading.active_count() <= before + 8 + 2
+        for sock in refused:
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after its one reply
+                reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503 ") and b"\r\nConnection: close" in head
+            assert json.loads(body)["error"] == "Unavailable"
+    finally:
+        for sock in silent:
+            sock.close()
+    _wait_until_no_connection_is_open(server)
+    with GatewayClient(server.base_url) as client:
+        client.sign(profile_id, digest_of(b"after the flood"), token)

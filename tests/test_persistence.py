@@ -4,8 +4,10 @@ restart rebuilds exactly the state the live process held."""
 import errno
 import random
 import secrets
+import subprocess
 import sys
 import threading
+import zlib
 from collections import Counter
 
 import pytest
@@ -21,8 +23,10 @@ from agent_esim.netcore import NetworkCore
 from agent_esim.policy import PolicyStore, permissive_policy
 from agent_esim.stack import build_stack
 from agent_esim.vault import AkaMacFailure, AkaSuccess, AkaSyncFailure, ProfileState, SimVault
+from agent_esim.wire import scan_for_secrets
 
 from tests.conftest import Stack
+from tests.test_acceptance import secrets_of
 from tests.test_netcore import FakeClock
 from tests.test_vault import make_profile
 
@@ -473,3 +477,131 @@ def test_concurrent_writes_apply_every_record(tmp_path):
     assert reopened.subscriber_sqn(IMSI) == threads * rounds
     assert reopened.pending_count() == threads * rounds // 2
     reopened.close()
+
+
+# -- the audit log's checkpoint ------------------------------------------------------
+
+
+def _audit_state(audit):
+    return audit._seq, audit._last_hash, audit._log.committed_end
+
+
+def _drive_checkpointed_deck(state_dir, monkeypatch):
+    """The restart deck with a checkpoint every 2 KiB of audit records;
+    returns the stack, its clock and how often each log checkpointed."""
+    monkeypatch.setattr(recordlog, "COMPACT_MIN_BYTES", 2048)
+    checkpoints = Counter()
+    checkpoint = recordlog.RecordLog._checkpoint
+
+    def counted(log, last_at):
+        checkpoints[log.path.name] += 1
+        checkpoint(log, last_at)
+
+    monkeypatch.setattr(recordlog.RecordLog, "_checkpoint", counted)
+    stack, clock = _drive_deck(state_dir, rounds=8)
+    return stack, clock, checkpoints
+
+
+def test_restart_from_the_audit_checkpoint_rebuilds_live_state(tmp_path, monkeypatch):
+    stack, clock, checkpoints = _drive_checkpointed_deck(tmp_path / "state", monkeypatch)
+    assert checkpoints["audit.log"] >= 3 and set(checkpoints) == {"audit.log"}, checkpoints
+    live = _audit_state(stack.audit)
+    applied, apply = [], AuditLog._apply
+
+    def counting(audit, rec):
+        applied.append(rec["seq"])
+        apply(audit, rec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AuditLog, "_apply", counting)
+        rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir), clock=clock, sync=False)
+    try:
+        assert _audit_state(rebuilt.audit) == live
+        # the checkpoint's last record and the ones after it, not the chain
+        assert applied == list(range(applied[0], live[0] + 1)) and applied[0] > 1
+        assert rebuilt.audit.verify().length == live[0]
+    finally:
+        rebuilt.close()
+    _assert_restart_rebuilds(stack, clock)
+
+
+def test_audit_checkpoint_holds_no_key_material(tmp_path, monkeypatch):
+    stack, _, checkpoints = _drive_checkpointed_deck(tmp_path / "state", monkeypatch)
+    try:
+        keys = secrets_of(stack)
+        assert checkpoints["audit.log"] and keys
+        # the scan finds the keys where they are stored, and none in the checkpoint
+        assert scan_for_secrets((stack.state_dir / "vault.log").read_bytes(), keys)
+        assert scan_for_secrets((stack.state_dir / "audit.log.ckpt").read_bytes(), keys) == []
+    finally:
+        stack.close()
+
+
+# Appends audit records in a fresh process and calls os._exit at a chosen
+# point, after printing the sequence number the log has made durable.
+CRASH_SCRIPT = """
+import os, sys
+from agent_esim import recordlog
+from agent_esim.audit import AuditLog, AuditOperation, AuditOutcome
+
+state_dir, point = sys.argv[1:]
+recordlog.COMPACT_MIN_BYTES = 2048
+audit = AuditLog(state_dir)
+replace = os.replace
+
+
+def crash(*args):
+    print(audit._seq, flush=True)
+    os._exit(0)
+
+
+def replace_then_crash(*args):
+    replace(*args)
+    crash()
+
+
+class TornWrite:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, frame):
+        self.fh.write(frame[: len(frame) // 2])
+        crash()
+
+
+if point == "before-replace":
+    recordlog.os.replace = crash
+elif point == "after-replace":
+    recordlog.os.replace = replace_then_crash
+for i in range(1000):
+    log = audit._log
+    if point == "mid-append" and 0 < log._checkpoint_end < log.committed_end:
+        log._fh = TornWrite(log._fh)
+    audit.append("p-%d" % (i % 3), AuditOperation.SIGN, AuditOutcome.allowed(), bytes(32))
+print("no crash", flush=True)
+"""
+
+
+@pytest.mark.parametrize("point", ["before-replace", "after-replace", "mid-append"])
+def test_crash_around_a_checkpoint_reopens_the_durable_chain(tmp_path, point):
+    state = tmp_path / "state"
+    run = subprocess.run(
+        [sys.executable, "-c", CRASH_SCRIPT, str(state), point],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    durable = int(run.stdout)
+    temp = state / "audit.log.ckpt.tmp"
+    assert temp.exists() == (point == "before-replace")
+    reopened = AuditLog(state)
+    try:
+        assert reopened._seq == durable > 0
+        status = reopened.verify()
+        assert status.ok and status.length == durable
+        assert (reopened._log.dropped_bytes > 0) == (point == "mid-append")
+        assert reopened._log._crc == zlib.crc32(reopened.path.read_bytes())
+        assert not temp.exists()
+        reopened.append("p-0", AuditOperation.SIGN, AuditOutcome.allowed(), bytes(32))
+        assert reopened.verify().length == durable + 1
+    finally:
+        reopened.close()

@@ -1,7 +1,12 @@
 """Persistence substrate and canonical encodings."""
 
 import errno
+import json
+import os
 import secrets
+import shutil
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -374,3 +379,221 @@ def test_write_frames_streams_any_iterable(tmp_path):
     size = write_frames(path, "TEST/1", (bytes([65 + i]) for i in range(3)))
     assert size == path.stat().st_size
     assert read_frames(path) == ("TEST/1", [b"A", b"B", b"C"])
+
+
+# -- checkpoints: a log without a snapshot reopens from its tail ---------------------
+
+
+class LastRecordStore:
+    """A store rebuilt by its last record alone, as a checkpointing log needs."""
+
+    def __init__(self, path):
+        self.last, self.applied = None, 0
+        self.log = RecordLog(path, "TEST/1", self._apply)
+
+    def _apply(self, rec):
+        self.applied += 1
+        self.last = rec
+
+
+def _fill_until_checkpointed(store, times=1):
+    """Append until `times` more checkpoints are written; returns the offsets
+    where the appended frames end."""
+    ends, start = [], store.log._checkpoint_end
+    while True:
+        store.log.append({"i": store.applied, "pad": "x" * 20})
+        ends.append(store.log.committed_end)
+        if store.log._checkpoint_end != start:
+            times -= 1
+            start = store.log._checkpoint_end
+            if not times:
+                return ends
+
+
+def _checkpoint(store):
+    (point,) = iter_records(store.log._checkpoint_path, "TEST/1")
+    return point
+
+
+def test_checkpointed_reopen_applies_the_last_record_and_the_tail(tmp_path, small_compactions):
+    path = tmp_path / "c.log"
+    store = LastRecordStore(path)
+    _fill_until_checkpointed(store, times=3)
+    point = _checkpoint(store)
+    assert point == {
+        "end": store.log.committed_end,
+        "crc32": zlib.crc32(path.read_bytes()),
+        "last_at": store.log.committed_end - len(recordlog._frame(recordlog._encode(store.last))),
+    }
+    for i in range(3):
+        store.log.append({"i": store.applied, "tail": i})
+    store.log.close()
+    reopened = LastRecordStore(path)
+    assert reopened.applied == 1 + 3
+    assert reopened.last == store.last
+    assert reopened.log.committed_end == store.log.committed_end == path.stat().st_size
+    assert reopened.log._crc == store.log._crc == zlib.crc32(path.read_bytes())
+    reopened.log.append({"i": "after"})
+    reopened.log.close()
+    assert [r["i"] for r in iter_records(path, "TEST/1")] == list(range(store.applied)) + ["after"]
+
+
+def test_log_with_a_snapshot_writes_no_checkpoint(tmp_path, small_compactions):
+    store = KeyValueStore(tmp_path / "kv.log")
+    _fill_until_compacted(store)
+    assert not store.log._checkpoint_path.exists()
+    store.log.close()
+
+
+def _set_checkpoint(path, **fields):
+    (point,) = iter_records(path, "TEST/1")
+    write_frames(path, "TEST/1", [json.dumps(dict(point, **fields)).encode()])
+
+
+def _flip(path, offset, byte):
+    raw = bytearray(path.read_bytes())
+    raw[offset] = byte
+    path.write_bytes(bytes(raw))
+
+
+def _flip_digit(path, point):
+    """Change one digit of a record before the checkpoint's end: the log
+    still decodes, to different content."""
+    raw = path.read_bytes()
+    at = raw.index(b'"i":1') + 4
+    assert at < point["end"]
+    _flip(path, at, ord("7"))
+
+
+# case -> how it spoils the checkpoint or the log, given (log path, checkpoint path, checkpoint)
+FALLBACKS = {
+    "no-checkpoint": lambda log, ckpt, point: ckpt.unlink(),
+    "undecodable": lambda log, ckpt, point: ckpt.write_bytes(b"TEST/1\n\x00\x00\x00\x05{{{{{"),
+    "wrong-header": lambda log, ckpt, point: write_frames(ckpt, "OTHER/1", [b"{}"]),
+    "missing-field": lambda log, ckpt, point: write_frames(ckpt, "TEST/1", [b'{"end":1}']),
+    "end-past-eof": lambda log, ckpt, point: os.truncate(log, point["last_at"]),
+    "last-at-inside-frame": lambda log, ckpt, point: _set_checkpoint(
+        ckpt, last_at=point["last_at"] + 1
+    ),
+    "last-at-earlier-frame": lambda log, ckpt, point: _set_checkpoint(
+        ckpt, last_at=point["previous_at"]
+    ),
+    "wrong-crc": lambda log, ckpt, point: _set_checkpoint(ckpt, crc32=point["crc32"] ^ 1),
+    "flip-json-valid": lambda log, ckpt, point: _flip_digit(log, point),
+    "flip-structural": lambda log, ckpt, point: _flip(log, point["previous_at"] + 4, 0xFF),
+    "flip-length": lambda log, ckpt, point: _flip(log, point["previous_at"], 0x7F),
+}
+
+
+def _open_outcome(path):
+    """What opening `path` gives: the store's state and the log's, or the
+    StorageFailure it raised; with the file's bytes afterwards."""
+    try:
+        store = LastRecordStore(path)
+    except StorageFailure as err:
+        return ("raised", str(err).replace(str(path.parent), "<dir>")), path.read_bytes()
+    store.log.close()
+    state = (store.last, store.applied, store.log.committed_end, store.log.dropped_bytes)
+    return state, path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_unusable_checkpoint_falls_back_to_the_full_walk(tmp_path, small_compactions, case):
+    path = tmp_path / "live" / "c.log"
+    store = LastRecordStore(path)
+    ends = _fill_until_checkpointed(store)
+    store.log.append({"i": "tail"})
+    store.log.close()
+    point = dict(_checkpoint(store), previous_at=ends[-3])
+    assert ends[-2] == point["last_at"] and point["end"] == ends[-1]
+    FALLBACKS[case](path, store.log._checkpoint_path, point)
+    without = tmp_path / "without" / "c.log"  # the same log with no checkpoint beside it
+    without.parent.mkdir()
+    shutil.copy(path, without)
+    outcome = _open_outcome(path)
+    assert outcome == _open_outcome(without)
+    state, _ = outcome
+    if state[0] != "raised":  # the full walk applied every record
+        assert state[1] == len(list(iter_records(path, "TEST/1")))
+
+
+def test_torn_frame_after_the_checkpoint_is_cut_off(tmp_path, small_compactions):
+    path = tmp_path / "c.log"
+    store = LastRecordStore(path)
+    _fill_until_checkpointed(store)
+    kept = store.last
+    store.log.append({"i": "torn"})
+    store.log.close()
+    size = path.stat().st_size
+    os.truncate(path, size - 5)
+    reopened = LastRecordStore(path)
+    assert reopened.applied == 1 and reopened.last == kept
+    assert reopened.log.dropped_bytes == size - 5 - _checkpoint(store)["end"]
+    assert reopened.log.committed_end == path.stat().st_size == _checkpoint(store)["end"]
+    assert reopened.log._crc == zlib.crc32(path.read_bytes())
+    reopened.log.close()
+
+
+def _fail_checkpoint_write(patch, log, failed):
+    def partial(path, *args, **kwargs):  # a crash-free failure that left a partial file
+        Path(path).write_bytes(b"TEST/1\n\x00")
+        failed.append(path)
+        raise OSError(errno.ENOSPC, "injected failure")
+
+    patch.setattr(recordlog, "write_frames", partial)
+
+
+CHECKPOINT_FAULTS = {
+    "write": _fail_checkpoint_write,
+    "replace": _fail_os_call("replace"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_failed_checkpoint_acknowledges_its_append(tmp_path, monkeypatch, small_compactions, fault):
+    path = tmp_path / "c.log"
+    store = LastRecordStore(path)
+    _fill_until_checkpointed(store)
+    before = _checkpoint(store)
+    failed = []
+    with monkeypatch.context() as patch:
+        CHECKPOINT_FAULTS[fault](patch, store.log, failed)
+        while not failed:  # every one of these appends is acknowledged
+            store.log.append({"i": store.applied})
+    assert store.log._checkpoint_end == store.log.committed_end  # the next try is a step on
+    assert not store.log._checkpoint_temp.exists()
+    assert _checkpoint(store) == before
+    acknowledged = (store.last, store.applied)
+    store.log.close()
+    reopened = LastRecordStore(path)
+    assert reopened.last == acknowledged[0]
+    assert reopened.log.committed_end == store.log.committed_end
+    _fill_until_checkpointed(reopened)
+    assert _checkpoint(reopened)["end"] == reopened.log.committed_end
+    reopened.log.close()
+
+
+def test_open_deletes_a_leftover_checkpoint_temp(tmp_path):
+    store = LastRecordStore(tmp_path / "c.log")
+    store.log.append({"i": 0})
+    store.log.close()
+    store.log._checkpoint_temp.write_bytes(b"TEST/1\n\x00")
+    reopened = LastRecordStore(tmp_path / "c.log")
+    assert not reopened.log._checkpoint_temp.exists() and reopened.last == {"i": 0}
+    reopened.log.close()
+
+
+def test_reopen_applies_only_the_last_checkpointed_record_and_the_tail(tmp_path):
+    path = tmp_path / "big.log"
+    store = LastRecordStore(path)
+    store.log.sync = False
+    ends = []
+    for i in range(20_000):
+        store.log.append({"i": i, "pad": "x" * 20})
+        ends.append(store.log.committed_end)
+    store.log.close()
+    recent = sum(1 for end in ends if end > ends[-1] - recordlog.COMPACT_MIN_BYTES)
+    reopened = LastRecordStore(path)
+    assert reopened.last == {"i": 19_999, "pad": "x" * 20}
+    assert reopened.applied <= 1 + recent < 20_000
+    reopened.log.close()
