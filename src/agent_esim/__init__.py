@@ -51,7 +51,7 @@ from .policy import (
     permissive_policy,
 )
 from .scenarios import ScenarioReport, run_scenario, scenario_names
-from .stack import ServiceStack, build_stack
+from .stack import ServiceStack, build_stack, serving
 from .vault import (
     AkaMacFailure,
     AkaSuccess,

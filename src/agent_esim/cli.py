@@ -10,10 +10,13 @@
     agent-esim audit-verify  [--log PATH]
     agent-esim scenario      NAME [--scenario-config F] [--report F]
 
-Admin commands run in one of two modes: against a running service
-(--endpoint URL, authenticated with the admin secret from
-$AGENT_ESIM_ADMIN_SECRET or the config file) or directly against a state
-directory (--state-dir / config state_dir) while the service is stopped.
+Admin commands run in one of two modes, both through the same HTTP
+endpoints and `AdminClient`: against a running service (--endpoint URL,
+authenticated with the admin secret from $AGENT_ESIM_ADMIN_SECRET or the
+config file), or directly on a state directory (--state-dir / config
+state_dir), which the command serves on a loopback port for its own
+duration, under a one-off secret, through the same locked start-up as
+`serve`; it is refused while another process serves that directory.
 Exit codes: 0 success, 1 domain error, 2 usage error. Secret key material
 never appears on stdout; only public profile fields are printed.
 """
@@ -23,18 +26,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import scenarios
 from .audit import verify_audit_file
-from .client import AdminClient, GatewayClient
+from .client import AdminClient
 from .config import ADMIN_SECRET_ENV, ServiceConfig, load_config
 from .errors import AgentEsimError, ConfigError
-from .httpapi import provision_request_from_json
-from .policy import DelegationPolicy
-from .stack import build_stack
+from .stack import serving
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,81 +118,38 @@ def _admin_secret(config: ServiceConfig | None) -> str:
     raise ConfigError(f"no admin credential: set {ADMIN_SECRET_ENV} or use --config")
 
 
-class _Backend:
-    """Admin operations against either a live endpoint or local state."""
-
-    def __init__(self, args):
-        self.config = _load_service_config(args)
-        self.endpoint = args.endpoint
-        self._stack = None
-        if self.endpoint:
-            self._admin = AdminClient(self.endpoint, _admin_secret(self.config))
-            self._client = GatewayClient(self.endpoint)
-        elif self.config is not None:
-            self._stack = build_stack(self.config)
-            self._admin = None
-            self._client = None
-        else:
-            raise ConfigError("provide --endpoint, --state-dir, or --config")
-
-    def close(self) -> None:
-        if self._stack is not None:
-            self._stack.close()
-
-    def provision(self, document: dict) -> dict:
-        if self._admin is not None:
-            return self._admin.provision(document)
-        return self._stack.gateway.admin_provision(provision_request_from_json(document))
-
-    def lifecycle(self, profile_id: str, action: str, reason: str = "") -> dict:
-        if self._admin is not None:
-            if action == "revoke":
-                return self._admin.revoke(profile_id, reason)
-            return self._admin.lifecycle(profile_id, action)
-        return self._stack.gateway.lifecycle(profile_id, action, reason=reason)
-
-    def update_policy(self, profile_id: str, policy_document: dict) -> dict:
-        if self._admin is not None:
-            return self._admin.update_policy(profile_id, policy_document)
-        policy = DelegationPolicy.from_json(policy_document)
-        previous = self._stack.gateway.update_policy(profile_id, policy)
-        return {"previous_policy_id": previous, "policy_id": policy.policy_id}
-
-    def status(self, profile_id: str) -> dict:
-        if self._client is not None:
-            return self._client.status(profile_id)
-        return self._stack.gateway.handle_status(profile_id)
-
-    def audit_verify(self) -> dict:
-        if self._admin is not None:
-            return self._admin.audit_verify()
-        return self._stack.gateway.verify_audit().to_json()
+@contextmanager
+def _admin(args) -> Iterator[AdminClient]:
+    """The command's one admin path: a client of --endpoint, or of the
+    state directory served on loopback for this command alone, under a
+    fresh secret that never leaves the process."""
+    config = _load_service_config(args)
+    if args.endpoint:
+        with AdminClient(args.endpoint, _admin_secret(config)) as admin:
+            yield admin
+    elif config is not None:
+        secret = secrets.token_urlsafe(32)
+        with serving(config, "127.0.0.1", 0, secret) as (_, server):
+            with AdminClient(server.base_url, secret) as admin:
+                yield admin
+    else:
+        raise ConfigError("provide --endpoint, --state-dir, or --config")
 
 
 def _cmd_serve(args) -> int:
     if not args.config:
         raise ConfigError("serve requires --config")
-    config = load_config(args.config)
-    if args.state_dir:
-        config.state_dir = Path(args.state_dir)
+    config = _load_service_config(args)
     secret = _admin_secret(config)
-    stack = build_stack(config)
-    server = stack.build_server(admin_secret=secret)
-    host, port = server.address
-    print(f"agent-esim serving on http://{host}:{port} (state: {config.state_dir})", flush=True)
-
-    def shutdown(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, shutdown)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        stack.close()
-        print("agent-esim stopped; state persisted", flush=True)
+    with serving(config, config.listen_host, config.listen_port, secret) as (_, server):
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        host, port = server.address
+        print(f"agent-esim serving on http://{host}:{port} (state: {config.state_dir})", flush=True)
+        try:
+            signal.pause()  # until SIGINT or SIGTERM raises KeyboardInterrupt
+        except KeyboardInterrupt:
+            pass
+    print("agent-esim stopped; state persisted", flush=True)
     return 0
 
 
@@ -202,35 +163,27 @@ def _cmd_provision(args) -> int:
         document["initial_policy"] = json.loads(Path(args.policy_file).read_text())
     if args.manifest_digest:
         document["manifest_digest"] = args.manifest_digest
-    backend = _Backend(args)
-    try:
-        result = backend.provision(document)
-    finally:
-        backend.close()
+    with _admin(args) as admin:
+        result = admin.provision(document)
     _emit(args, result, [f"{key}: {result[key]}" for key in
                          ("profile_id", "imsi", "iccid", "public_signing_key")])
     return 0
 
 
 def _cmd_lifecycle(args) -> int:
-    backend = _Backend(args)
-    try:
-        result = backend.lifecycle(
-            args.profile_id, args.command, getattr(args, "reason", "")
-        )
-    finally:
-        backend.close()
+    with _admin(args) as admin:
+        if args.command == "revoke":
+            result = admin.revoke(args.profile_id, args.reason)
+        else:
+            result = admin.lifecycle(args.profile_id, args.command)
     _emit(args, result, [f"{args.profile_id}: {result.get('previous_state')} -> {result.get('state')}"])
     return 0
 
 
 def _cmd_policy(args) -> int:
     document = json.loads(Path(args.policy_file).read_text())
-    backend = _Backend(args)
-    try:
-        result = backend.update_policy(args.profile_id, document)
-    finally:
-        backend.close()
+    with _admin(args) as admin:
+        result = admin.update_policy(args.profile_id, document)
     _emit(args, result, [
         f"{args.profile_id}: policy {result.get('previous_policy_id')} -> {result.get('policy_id')}"
     ])
@@ -238,11 +191,8 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    backend = _Backend(args)
-    try:
-        result = backend.status(args.profile_id)
-    finally:
-        backend.close()
+    with _admin(args) as admin:
+        result = admin.status(args.profile_id)
     human = [f"{key}: {result[key]}" for key in ("profile_id", "state", "imsi", "sqn_ms")]
     human.append(f"bound: {result.get('bound')}")
     _emit(args, result, human)
@@ -253,11 +203,8 @@ def _cmd_audit_verify(args) -> int:
     if args.log:
         result = verify_audit_file(args.log).to_json()
     else:
-        backend = _Backend(args)
-        try:
-            result = backend.audit_verify()
-        finally:
-            backend.close()
+        with _admin(args) as admin:
+            result = admin.audit_verify()
     if result["ok"]:
         _emit(args, result, [f"audit chain ok ({result['length']} records)"])
         return 0

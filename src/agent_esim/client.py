@@ -216,10 +216,8 @@ class GatewayClient:
             if error == "InvalidPolicy":
                 raise InvalidPolicy(body.get("message", "invalid policy"))
             raise MalformedRequest(body.get("message", "bad request"))
-        if status >= 500 or status == 503:
-            raise VaultError(body.get("message", f"service error {status}"))
         if status != 200:
-            raise VaultError(f"unexpected status {status}: {body}")
+            raise VaultError(body.get("message") or f"unexpected status {status}: {body}")
 
     def _call(self, method: str, path: str, body=None, headers=None) -> dict:
         status, parsed, _ = self.request(method, path, body, headers)

@@ -319,7 +319,7 @@ class IdentityGateway:
             # subscriber and policy under an IMSI and id no caller was given).
             self.netcore.register_subscriber(imsi, km)
             self.policies.set(profile_id, policy)
-            profile = new_profile(profile_id, imsi, iccid, km, binding, policy.policy_id)
+            profile = new_profile(profile_id, imsi, iccid, km, binding)
             profile.state = ProfileState.ACTIVE
             self.vault.install_profile(profile)
             return profile, None

@@ -518,8 +518,10 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
 
 
 class GatewayHTTPServer:
-    """Threaded HTTP front end; one OS thread per open connection, up to
-    MAX_CONNECTIONS."""
+    """Threaded HTTP front end: `start` runs the accept loop on a daemon
+    thread, with one more thread per open connection, up to MAX_CONNECTIONS;
+    `stop` ends them all. `stack.serving` is the one way the program runs a
+    state directory through it."""
 
     def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
         handler = type(
@@ -527,8 +529,6 @@ class GatewayHTTPServer:
         )
         self._httpd = _ConnectionServer((host, port), handler)
         self._thread: threading.Thread | None = None
-        # whether a serve loop ran, which `shutdown` waits for
-        self._served = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -540,7 +540,6 @@ class GatewayHTTPServer:
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        self._served = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -549,16 +548,11 @@ class GatewayHTTPServer:
         )
         self._thread.start()
 
-    def serve_forever(self) -> None:
-        self._served = True
-        self._httpd.serve_forever(poll_interval=0.05)
-
     def stop(self) -> None:
         """Stop accepting, then end every open connection and its thread."""
-        if self._served:
+        if self._thread is not None:  # `shutdown` waits for a loop that ran
             self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd.close_connections(timeout=5)
-        if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._httpd.server_close()
+        self._httpd.close_connections(timeout=5)

@@ -46,7 +46,12 @@ the log: the CRC of the first `end` bytes must match and the frame at
 one record and walks only the frames after it; otherwise (no checkpoint, a
 stale or torn one, a changed byte) it walks the whole log as above. So a
 lost checkpoint costs a full replay and never a check: a matching prefix is
-byte for byte what an earlier process acknowledged or decoded whole.
+byte for byte what an earlier process acknowledged or decoded whole. One
+exception to cutting an incomplete final frame: when a checkpoint decodes
+but the full walk stops at such a frame below the checkpoint's end, those
+bytes were once acknowledged whole, so the cut would drop acknowledged
+records behind a corrupt length; the open raises StorageFailure naming the
+offset and leaves the file as it is.
 Opening a log deletes a leftover `.ckpt.tmp` file.
 
 Every reader goes through `FrameWalk`, which maps the file read-only and
@@ -99,9 +104,10 @@ class RecordLog:
         # the CRC of its bytes up to `committed_end`
         self._checkpoint_end = self._crc = 0
         if not fresh:
+            point = self._read_checkpoint() if snapshot is None else None
             with FrameWalk(self.path) as walk:
                 start = 0
-                if snapshot is None and (resumed := self._resume(walk)) is not None:
+                if point is not None and (resumed := self._resume(walk, *point)) is not None:
                     last, self._crc = resumed
                     start = self._checkpoint_end = walk.end
                     apply(last)
@@ -110,6 +116,11 @@ class RecordLog:
                 if snapshot is None:
                     self._crc = walk.crc32(start, self._crc)
             if walk.end < walk.size:
+                if point is not None and walk.end < point[0]:
+                    raise StorageFailure(
+                        f"{self.path}: the frame at byte {walk.end} runs past the end of the"
+                        f" file, below the checkpointed end {point[0]}; not truncated"
+                    )
                 os.truncate(self.path, walk.end)
                 self.dropped_bytes = walk.size - walk.end
             self.committed_end = walk.end
@@ -120,15 +131,21 @@ class RecordLog:
             self._crc = zlib.crc32(head)
         self._compacted_end = self.committed_end
 
-    def _resume(self, walk: FrameWalk) -> tuple[dict, int] | None:
+    def _read_checkpoint(self) -> tuple[int, int, int] | None:
+        """The checkpoint's (end, crc32, last_at), or None when there is no
+        checkpoint that decodes with the log's header."""
+        try:
+            (point,) = list(iter_records(self._checkpoint_path, self.header))
+            return tuple(int(point[key]) for key in ("end", "crc32", "last_at"))
+        except (OSError, StorageFailure, KeyError, TypeError, ValueError):
+            return None
+
+    def _resume(
+        self, walk: FrameWalk, end: int, crc: int, last_at: int
+    ) -> tuple[dict, int] | None:
         """If the checkpoint holds for the walked log, move `walk` past the
         prefix it vouches for and return that prefix's last record and CRC;
         else None, leaving `walk` where it was."""
-        try:
-            (point,) = list(iter_records(self._checkpoint_path, self.header))
-            end, crc, last_at = (int(point[key]) for key in ("end", "crc32", "last_at"))
-        except (OSError, StorageFailure, KeyError, TypeError, ValueError):
-            return None
         if walk.header != self.header or not walk.end <= last_at < end <= walk.size:
             return None
         start, walk.end = walk.end, end

@@ -1,10 +1,12 @@
 """Built-in end-to-end scenarios.
 
-Each scenario boots a fresh single-process stack, provisions agents over
-the admin wire API, drives them through the gateway exactly as a real
-client would, and finishes by verifying the audit chain and joining every
-recorded request digest against it. Reports are deterministic in their
-outcomes (identifiers and timestamps vary run to run).
+Each scenario serves a fresh state directory (or the one it is given)
+through `stack.serving`, so it is refused while another process serves
+that directory. It provisions agents over the admin wire API, drives them
+through the gateway exactly as a real client would, and finishes by
+verifying the audit chain and joining every recorded request digest
+against it. Reports are deterministic in their outcomes (identifiers and
+timestamps vary run to run).
 
     enterprise-alert-agent   rate- and role-limited alert signer
     finance-decision-agent   signing under audit, then a revocation drill
@@ -21,6 +23,7 @@ import json
 import secrets
 import tempfile
 import uuid
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -37,7 +40,8 @@ from .client import AdminClient, GatewayClient
 from .config import ServiceConfig
 from .errors import DeniedByGateway, UnknownScenario
 from .policy import DelegationPolicy, GatewayOp, RateLimit, Validity
-from .stack import ServiceStack, build_stack
+from .httpapi import GatewayHTTPServer
+from .stack import ServiceStack, serving
 from .wire import request_digest, scan_for_secrets
 
 SCENARIO_ADMIN_SECRET = "scenario-admin"
@@ -92,18 +96,12 @@ class ScenarioReport:
 class _ScenarioEnv:
     """Running stack + wire clients + an emulated TEE root."""
 
-    def __init__(self, state_dir: Path):
-        config = ServiceConfig(
-            state_dir=state_dir, listen_host="127.0.0.1", listen_port=0,
-            admin_secret=SCENARIO_ADMIN_SECRET,
-        )
-        self.root = SoftwareRootOfTrust.generate("scenario-tee-root")
-        config.attestation_roots.append((self.root.root_id, self.root.public_key))
-        self.stack: ServiceStack = build_stack(config)
-        self.server = self.stack.build_server(admin_secret=SCENARIO_ADMIN_SECRET)
-        self.server.start()
-        self.admin = AdminClient(self.server.base_url, SCENARIO_ADMIN_SECRET)
-        self.relying = RelyingService(self.stack.netcore)
+    def __init__(self, stack: ServiceStack, server: GatewayHTTPServer, root: SoftwareRootOfTrust):
+        self.stack = stack
+        self.server = server
+        self.root = root
+        self.admin = AdminClient(server.base_url, SCENARIO_ADMIN_SECRET)
+        self.relying = RelyingService(stack.netcore)
 
     def new_agent(self, name: str, policy: DelegationPolicy) -> AgentRuntime:
         measurement = hashlib.sha256(f"agent-code:{name}".encode()).digest()
@@ -123,10 +121,6 @@ class _ScenarioEnv:
             attestation_signer=self.root,
             client=GatewayClient(self.server.base_url),
         )
-
-    def close(self) -> None:
-        self.server.stop()
-        self.stack.close()
 
 
 def _policy(ops: set[GatewayOp], max_ops: int, window_seconds: float) -> DelegationPolicy:
@@ -339,19 +333,16 @@ def run_scenario(
     if runner is None:
         raise UnknownScenario(f"unknown scenario {name!r}; built-ins: {scenario_names()}")
     report = ScenarioReport(name=name)
-    if state_dir is not None:
-        env = _ScenarioEnv(Path(state_dir))
-        try:
-            runner(env, config or {}, report)
-        finally:
-            env.close()
+    if state_dir is None:
+        scratch = tempfile.TemporaryDirectory(prefix="agent-esim-scenario-")
     else:
-        with tempfile.TemporaryDirectory(prefix="agent-esim-scenario-") as tmp:
-            env = _ScenarioEnv(Path(tmp) / "state")
-            try:
-                runner(env, config or {}, report)
-            finally:
-                env.close()
+        scratch = nullcontext()
+    with scratch as tmp:
+        root = SoftwareRootOfTrust.generate("scenario-tee-root")
+        service = ServiceConfig(state_dir=Path(tmp) / "state" if tmp else Path(state_dir))
+        service.attestation_roots.append((root.root_id, root.public_key))
+        with serving(service, "127.0.0.1", 0, SCENARIO_ADMIN_SECRET) as (stack, server):
+            runner(_ScenarioEnv(stack, server, root), config or {}, report)
     if report_path is not None:
         Path(report_path).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     if echo is not None:

@@ -1,21 +1,31 @@
 """One-process service assembly: vault + network core + gateway.
 
-This is deployment shape the CLI serves: all three services live in one
-process group behind shared state, with the gateway as the only
-agent-facing surface. Tests and scenarios build the same stack against
-temp directories.
+This is the deployment shape the CLI serves: all three services live in
+one process behind shared state, with the gateway as the only agent-facing
+surface. `build_stack` opens a state directory's logs; `serving` is the one
+way to run a directory as a service. It holds an exclusive `flock` on
+`<state_dir>/serve.lock` for as long as it serves, so a second process
+(another `serve`, a direct-mode CLI command, a scenario on that directory)
+is refused before it reads any log, and the kernel drops the lock when its
+holder dies. `serve`, every direct-mode admin command and the scenarios go
+through it; `build_stack` and `ServiceStack.build_server` take no lock, for
+callers that reopen a directory in-process, as tests and the benchmark's
+restart rounds do.
 """
 
 from __future__ import annotations
 
+import fcntl
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .attestation import RootRegistry
 from .audit import AuditLog
 from .config import ServiceConfig
+from .errors import StorageFailure
 from .gateway import IdentityGateway
 from .httpapi import GatewayHTTPServer
 from .identifiers import IdentifierAllocator
@@ -97,3 +107,27 @@ def build_stack(
         allocator=allocator,
         gateway=gateway,
     )
+
+
+@contextmanager
+def serving(
+    config: ServiceConfig, host: str, port: int, admin_secret: str
+) -> Iterator[tuple[ServiceStack, GatewayHTTPServer]]:
+    """Serve `config.state_dir` on (host, port) while the block runs; yields
+    the stack and its started server, and stops and closes both on exit.
+    Raises StorageFailure, before opening any log, while another process
+    serves the directory."""
+    state_dir = Path(config.state_dir)
+    state_dir.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as scope:
+        lock = scope.enter_context(open(state_dir / "serve.lock", "ab"))
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as err:
+            raise StorageFailure(f"{state_dir} is served by another process") from err
+        stack = build_stack(config)
+        scope.callback(stack.close)
+        server = GatewayHTTPServer(stack.gateway, host, port, admin_secret)
+        scope.callback(server.stop)
+        server.start()
+        yield stack, server

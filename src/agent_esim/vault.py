@@ -126,7 +126,6 @@ class SimProfile:
     key_material: MilenageKeyMaterial
     signing_key: Ed25519PrivateKey
     binding: BindingMetadata
-    policy_id: str
     sqn_ms: int = 0
     state: ProfileState = ProfileState.PROVISIONED
 
@@ -162,7 +161,6 @@ def new_profile(
     iccid: str,
     key_material: MilenageKeyMaterial,
     binding: BindingMetadata,
-    policy_id: str,
 ) -> SimProfile:
     """Fresh profile with a newly generated signing keypair."""
     return SimProfile(
@@ -172,7 +170,6 @@ def new_profile(
         key_material=key_material,
         signing_key=Ed25519PrivateKey.generate(),
         binding=binding,
-        policy_id=policy_id,
     )
 
 
@@ -347,13 +344,14 @@ def _profile_to_record(profile: SimProfile) -> dict:
                 else None
             ),
         },
-        "policy_id": profile.policy_id,
         "sqn_ms": profile.sqn_ms,
         "state": profile.state.value,
     }
 
 
 def _profile_from_record(rec: dict) -> SimProfile:
+    """The profile an `install` record holds; a `policy_id` stored by older
+    versions is ignored, since `PolicyStore` owns each profile's policy."""
     binding = rec["binding"]
     return SimProfile(
         profile_id=rec["profile_id"],
@@ -379,7 +377,6 @@ def _profile_from_record(rec: dict) -> SimProfile:
                 else None
             ),
         ),
-        policy_id=rec["policy_id"],
         sqn_ms=int(rec["sqn_ms"]),
         state=ProfileState(rec["state"]),
     )

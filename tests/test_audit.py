@@ -17,7 +17,7 @@ from agent_esim.audit import (
     verify_audit_file,
 )
 from agent_esim.errors import StorageFailure
-from agent_esim.recordlog import read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, read_frames, write_frames
 
 
 def append_n(log, n, profile_id="p-1"):
@@ -219,3 +219,29 @@ def test_checks_and_reopening_hold_memory_flat_as_the_log_grows(tmp_path):
     audit.close()
     for small, large in zip(peaks[2_000], peaks[20_000]):
         assert large - small < 1 << 20, peaks
+
+
+def test_corrupt_length_inside_the_checkpointed_prefix_is_refused(tmp_path, capsys):
+    """A reopen refuses to cut acknowledged records behind a corrupt length
+    that the checkpoint vouched for; the offline check still names the break."""
+    from agent_esim.cli import main
+
+    state = tmp_path / "state"
+    audit = AuditLog(state)
+    append_n(audit, 400)
+    audit.close()
+    path = state / "audit.log"
+    assert (state / "audit.log.ckpt").exists()
+    with FrameWalk(path) as walk:  # where record 11 starts
+        for _ in zip(range(10), walk):
+            pass
+        at = walk.end
+    raw = bytearray(path.read_bytes())
+    raw[at] ^= 0xFF  # its length now runs past the end of the file
+    path.write_bytes(bytes(raw))
+
+    with pytest.raises(StorageFailure, match=f"frame at byte {at} "):
+        AuditLog(state)
+    assert path.read_bytes() == bytes(raw)
+    assert main(["--json", "audit-verify", "--log", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "length": 10, "first_bad_seq": 11}

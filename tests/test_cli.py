@@ -6,10 +6,12 @@ import socket
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from agent_esim.audit import load_audit_records
 from agent_esim.cli import main
 from agent_esim.config import ADMIN_SECRET_ENV
 from agent_esim.policy import permissive_policy
@@ -217,24 +219,43 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def test_serve_and_endpoint_mode_round_trip(tmp_path):
+CLI_ENV = {
+    "PATH": "/usr/bin:/bin",
+    ADMIN_SECRET_ENV: ADMIN_SECRET,
+    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+}
+
+
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "agent_esim.cli", *argv],
+        capture_output=True, text=True, env=CLI_ENV,
+    )
+
+
+def service_config(tmp_path, state_dir) -> tuple[Path, int]:
+    """A config file serving `state_dir` on a free loopback port."""
     port = _free_port()
-    config_path = tmp_path / "service.json"
+    config_path = tmp_path / f"{Path(state_dir).name}-service.json"
     config_path.write_text(
         json.dumps(
             {
-                "state_dir": str(tmp_path / "state"),
+                "state_dir": str(state_dir),
                 "listen_address": f"127.0.0.1:{port}",
                 "admin_secret": ADMIN_SECRET,
                 "default_policy": permissive_policy(policy_id="default").to_json(),
             }
         )
     )
+    return config_path, port
+
+
+@contextmanager
+def serve_process(config_path, port):
+    """`agent-esim serve` in a subprocess, up and answering on `port`."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "agent_esim.cli", "--config", str(config_path), "serve"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=CLI_ENV,
     )
     try:
         deadline = time.time() + 10
@@ -245,65 +266,122 @@ def test_serve_and_endpoint_mode_round_trip(tmp_path):
             except OSError:
                 time.sleep(0.05)
         else:
+            proc.kill()
             raise AssertionError("serve did not come up: " + proc.stdout.read())
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
-        endpoint = f"http://127.0.0.1:{port}"
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "agent_esim.cli",
-                "--endpoint", endpoint, "--json", "provision",
-                "--agent-key", secrets.token_bytes(32).hex(),
-                "--measurement", secrets.token_bytes(32).hex(),
-                "--namespace", "acme/served",
-            ],
-            capture_output=True, text=True,
-            env={**dict(PATH="/usr/bin:/bin"), ADMIN_SECRET_ENV: ADMIN_SECRET,
-                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+
+def test_serve_and_endpoint_mode_round_trip(tmp_path):
+    config_path, port = service_config(tmp_path, tmp_path / "state")
+    endpoint = f"http://127.0.0.1:{port}"
+    with serve_process(config_path, port):
+        result = cli_process(
+            "--endpoint", endpoint, "--json", "provision",
+            "--agent-key", secrets.token_bytes(32).hex(),
+            "--measurement", secrets.token_bytes(32).hex(),
+            "--namespace", "acme/served",
         )
         assert result.returncode == 0, result.stderr
         created = json.loads(result.stdout)
 
-        status = subprocess.run(
-            [
-                sys.executable, "-m", "agent_esim.cli",
-                "--endpoint", endpoint, "--json", "status", created["profile_id"],
-            ],
-            capture_output=True, text=True,
-            env={**dict(PATH="/usr/bin:/bin"), ADMIN_SECRET_ENV: ADMIN_SECRET,
-                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        )
+        status = cli_process("--endpoint", endpoint, "--json", "status", created["profile_id"])
         assert status.returncode == 0, status.stderr
         assert json.loads(status.stdout)["state"] == "Active"
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
-        proc.stdout.close()
 
     # restart on the same state keeps the profile and the audit chain
-    proc2 = subprocess.Popen(
-        [sys.executable, "-m", "agent_esim.cli", "--config", str(config_path), "serve"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    try:
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                    break
-            except OSError:
-                time.sleep(0.05)
-        verify = subprocess.run(
-            [
-                sys.executable, "-m", "agent_esim.cli",
-                "--endpoint", f"http://127.0.0.1:{port}", "--json", "audit-verify",
-            ],
-            capture_output=True, text=True,
-            env={**dict(PATH="/usr/bin:/bin"), ADMIN_SECRET_ENV: ADMIN_SECRET,
-                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        )
+    with serve_process(config_path, port):
+        verify = cli_process("--endpoint", endpoint, "--json", "audit-verify")
         assert verify.returncode == 0, verify.stderr
         assert json.loads(verify.stdout)["ok"] is True
-    finally:
-        proc2.terminate()
-        proc2.wait(timeout=10)
-        proc2.stdout.close()
+
+
+def test_a_served_state_directory_refuses_a_second_process(tmp_path, capsys):
+    state = tmp_path / "state"
+    config_path, port = service_config(tmp_path, state)
+    endpoint = f"http://127.0.0.1:{port}"
+    with serve_process(config_path, port) as proc:
+        code, out, _ = run_cli(
+            capsys, "--endpoint", endpoint, "--json", "provision",
+            "--agent-key", "ab" * 32, "--measurement", "cd" * 32, "--namespace", "acme/locked",
+        )
+        assert code == 0
+        profile_id = json.loads(out)["profile_id"]
+        audit_before = (state / "audit.log").read_bytes()
+
+        code, out, err = run_cli(capsys, "--config", str(config_path), "revoke", profile_id)
+        assert code == 1 and out == ""
+        assert str(state) in err and "served by another process" in err
+        code, _, err = run_cli(
+            capsys, "--state-dir", str(state), "scenario", "finance-decision-agent"
+        )
+        assert code == 1 and str(state) in err
+        assert (state / "audit.log").read_bytes() == audit_before
+        code, out, _ = run_cli(capsys, "--endpoint", endpoint, "--json", "status", profile_id)
+        assert code == 0 and json.loads(out)["state"] == "Active"
+
+        proc.kill()  # SIGKILL: no clean-up runs, and the kernel drops the lock
+        proc.wait(timeout=10)
+
+    code, out, _ = run_cli(capsys, "--config", str(config_path), "revoke", profile_id)
+    assert code == 0 and out == f"{profile_id}: Active -> Revoked\n"
+
+
+def _policy_file(path, policy_id, max_ops=1000):
+    path.write_text(json.dumps(permissive_policy(policy_id=policy_id, max_ops=max_ops).to_json()))
+    return str(path)
+
+
+def _run_deck(capsys, mode_args, tmp_path) -> list[tuple[int, str, str]]:
+    """One admin deck through `mode_args`; each step's exit code, stdout and
+    stderr, with the provisioned identifiers masked."""
+    code, out, err = run_cli(
+        capsys, *mode_args, "--json", "provision",
+        "--agent-key", "ab" * 32, "--measurement", "cd" * 32, "--namespace", "acme/parity",
+        "--policy-file", _policy_file(tmp_path / "p0.json", "p0"),
+    )
+    assert code == 0, err
+    created = json.loads(out)
+    profile_id = created["profile_id"]
+    steps = [(code, out, err)]
+    for argv in (
+        ["suspend", profile_id],
+        ["resume", profile_id],
+        ["policy", profile_id, "--policy-file", _policy_file(tmp_path / "p1.json", "p1", 5)],
+        ["status", profile_id],
+        ["revoke", profile_id],
+        ["resume", profile_id],
+        ["status", "esim-000000000000"],
+        ["audit-verify"],
+    ):
+        steps.append(run_cli(capsys, *mode_args, "--json", *argv))
+    masks = {created[k]: f"<{k}>" for k in ("profile_id", "imsi", "iccid", "public_signing_key")}
+
+    def masked(text):
+        for value, mask in masks.items():
+            text = text.replace(value, mask)
+        return text
+
+    return [(code, json.loads(masked(out) or "null"), masked(err)) for code, out, err in steps]
+
+
+def _audit_trail(state_dir) -> list[tuple[str, str, str | None]]:
+    return [
+        (r.operation.value, r.outcome.kind, r.outcome.detail)
+        for r in load_audit_records(Path(state_dir) / "audit.log")
+    ]
+
+
+def test_direct_and_endpoint_modes_give_the_same_answers(tmp_path, capsys):
+    direct = _run_deck(capsys, ["--state-dir", str(tmp_path / "direct")], tmp_path)
+    config_path, port = service_config(tmp_path, tmp_path / "served")
+    with serve_process(config_path, port):
+        served = _run_deck(capsys, ["--endpoint", f"http://127.0.0.1:{port}"], tmp_path)
+    assert direct == served
+    assert [code for code, _, _ in direct] == [0, 0, 0, 0, 0, 0, 1, 1, 0]
+    assert direct[6][2] == "error: illegal transition Revoked -> Active\n"
+    assert _audit_trail(tmp_path / "direct") == _audit_trail(tmp_path / "served")

@@ -481,7 +481,6 @@ FALLBACKS = {
     "wrong-crc": lambda log, ckpt, point: _set_checkpoint(ckpt, crc32=point["crc32"] ^ 1),
     "flip-json-valid": lambda log, ckpt, point: _flip_digit(log, point),
     "flip-structural": lambda log, ckpt, point: _flip(log, point["previous_at"] + 4, 0xFF),
-    "flip-length": lambda log, ckpt, point: _flip(log, point["previous_at"], 0x7F),
 }
 
 
@@ -515,6 +514,23 @@ def test_unusable_checkpoint_falls_back_to_the_full_walk(tmp_path, small_compact
     state, _ = outcome
     if state[0] != "raised":  # the full walk applied every record
         assert state[1] == len(list(iter_records(path, "TEST/1")))
+
+
+def test_corrupt_length_below_the_checkpoint_refuses_to_open(tmp_path, small_compactions):
+    """The full walk stops at a frame whose length runs past the end of the
+    file, below the checkpoint's end: cutting there would drop records the
+    checkpoint saw whole, so the open raises and leaves every byte."""
+    path = tmp_path / "c.log"
+    store = LastRecordStore(path)
+    ends = _fill_until_checkpointed(store, times=2)
+    store.log.append({"i": "tail"})
+    store.log.close()
+    at = ends[0]  # the second frame, well inside the checked prefix
+    _flip(path, at, 0x7F)
+    spoiled = path.read_bytes()
+    with pytest.raises(StorageFailure, match=f"frame at byte {at} .* checkpointed end"):
+        LastRecordStore(path)
+    assert path.read_bytes() == spoiled
 
 
 def test_torn_frame_after_the_checkpoint_is_cut_off(tmp_path, small_compactions):

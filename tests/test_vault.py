@@ -15,6 +15,7 @@ from agent_esim.errors import (
 )
 from agent_esim.identifiers import IdentifierAllocator
 from agent_esim.milenage import MilenageKeyMaterial, generate_auth_vector
+from agent_esim.recordlog import read_frames, write_frames
 from agent_esim.vault import (
     AkaMacFailure,
     AkaSuccess,
@@ -44,7 +45,7 @@ def make_profile(profile_id="p-1", imsi="001010000000001", iccid=None, km=None):
         body = "890101" + imsi[-12:]
         allocator_iccid = body + luhn_check_digit(body)
     km = km or MilenageKeyMaterial(k=secrets.token_bytes(16), opc=secrets.token_bytes(16))
-    return new_profile(profile_id, imsi, allocator_iccid, km, make_binding(), "pol-1")
+    return new_profile(profile_id, imsi, allocator_iccid, km, make_binding())
 
 
 @pytest.fixture
@@ -217,6 +218,25 @@ def test_persistence_across_restart(tmp_path):
     assert verify_profile_signature(
         bytes.fromhex(result["public_key"]), "p-1", digest, bytes.fromhex(result["signature"])
     )
+    reopened.close()
+
+
+def test_install_record_written_with_a_policy_id_still_opens(tmp_path):
+    """Older versions stored a copy of the policy id in each `install`
+    record; `PolicyStore` owns it now, and such a log still opens."""
+    state = tmp_path / "state"
+    vault = SimVault(state)
+    vault.install_profile(make_profile())
+    before = vault.get_profile_status("p-1")
+    vault.close()
+    header, frames = read_frames(state / "vault.log")
+    record = json.loads(frames[0])
+    assert "policy_id" not in record["profile"]
+    record["profile"]["policy_id"] = "pol-1"
+    write_frames(state / "vault.log", header, [json.dumps(record).encode()])
+
+    reopened = SimVault(state)
+    assert reopened.get_profile_status("p-1") == before
     reopened.close()
 
 
