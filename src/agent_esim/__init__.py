@@ -39,7 +39,7 @@ from .milenage import (
     milenage_compute,
     parse_autn,
 )
-from .netcore import NetworkCore, PendingChallenge, SubscriberRecord
+from .netcore import NetworkCore, PendingChallenge
 from .policy import (
     DelegationPolicy,
     DenyReason,

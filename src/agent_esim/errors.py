@@ -62,16 +62,8 @@ class IllegalTransition(AgentEsimError):
 
 # --- network core -----------------------------------------------------------
 
-class DuplicateSubscriber(AgentEsimError):
-    """IMSI already registered."""
-
-
-class InvalidImsi(AgentEsimError):
-    """IMSI is not exactly 15 decimal digits."""
-
-
 class UnknownSubscriber(AgentEsimError):
-    """No subscriber record for the given IMSI."""
+    """No profile in the vault holds the given IMSI."""
 
 
 class UnknownChallenge(AgentEsimError):

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .identifiers import IdentifierAllocator
 from .milenage import MilenageKeyMaterial, derive_opc
-from .netcore import NetworkCore
 from .policy import (
     DelegationPolicy,
     DenyReason,
@@ -105,7 +104,6 @@ class IdentityGateway:
     def __init__(
         self,
         vault: SimVault,
-        netcore: NetworkCore,
         policy_store: PolicyStore,
         audit_log: AuditLog,
         roots: RootRegistry,
@@ -116,7 +114,6 @@ class IdentityGateway:
         clock: Callable[[], float] = time.time,
     ):
         self.vault = vault
-        self.netcore = netcore
         self.policies = policy_store
         self.audit = audit_log
         self.roots = roots
@@ -315,9 +312,9 @@ class IdentityGateway:
 
         def install():
             # The vault install, already Active, is the commit point: a
-            # failure before it leaves no profile (at most an unreachable
-            # subscriber and policy under an IMSI and id no caller was given).
-            self.netcore.register_subscriber(imsi, km)
+            # failure before it leaves no profile (at most a policy under an
+            # id no caller was given). The network core reads the keys from
+            # the vault, so the install is also what makes the IMSI known.
             self.policies.set(profile_id, policy)
             profile = new_profile(profile_id, imsi, iccid, km, binding)
             profile.state = ProfileState.ACTIVE

@@ -64,19 +64,14 @@ from .attestation import AttestationToken
 from .errors import (
     AdminAuthFailure,
     AgentEsimError,
-    ChallengeExpired,
     DuplicateProfile,
-    DuplicateSubscriber,
     GatewayDenied,
     IllegalTransition,
-    InvalidImsi,
     InvalidPolicy,
     InvalidProfile,
     MalformedRequest,
     StorageFailure,
-    UnknownChallenge,
     UnknownProfile,
-    UnknownSubscriber,
     VaultError,
     WireFormatError,
 )
@@ -106,16 +101,11 @@ _REQUEST_LINE = re.compile(rf"({_TOKEN}) (\S+) HTTP/1\.([01])")
 
 _STATUS_FOR = {
     UnknownProfile: 404,
-    UnknownSubscriber: 404,
-    UnknownChallenge: 404,
     InvalidPolicy: 400,
     InvalidProfile: 400,
-    InvalidImsi: 400,
     MalformedRequest: 400,
     WireFormatError: 400,
-    ChallengeExpired: 410,
     DuplicateProfile: 409,
-    DuplicateSubscriber: 409,
     IllegalTransition: 409,
     AdminAuthFailure: 401,
     StorageFailure: 503,

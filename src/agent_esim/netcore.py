@@ -1,9 +1,12 @@
 """Home-network authentication authority.
 
-Holds the operator-side subscriber database, issues fresh authentication
-vectors, confirms challenge responses, and processes resynchronization
-tokens. Shares key material with the vault by construction (one operator
-runs both) but keeps its own store so the two protocol roles stay honest.
+Issues fresh authentication vectors, confirms challenge responses, and
+processes resynchronization tokens. It holds no subscriber keys: one
+operator runs it beside the vault, and it reads Ki and OPc through the
+`keys` lookup it is built with (`SimVault.key_material_for` in a service
+stack), so the vault stays the only holder of key bytes. Its own state,
+and all that `netcore.log` holds, is the home network's half of the
+protocol: `sqn_he` per IMSI and the pending challenges.
 
 Sequence numbers advance by a fixed step per vector; challenges are
 single-use and expire after a configurable TTL. Issuing a challenge first
@@ -26,8 +29,6 @@ from typing import Callable
 
 from .errors import (
     ChallengeExpired,
-    DuplicateSubscriber,
-    InvalidImsi,
     ResyncMacFailure,
     UnknownChallenge,
     UnknownSubscriber,
@@ -48,14 +49,6 @@ DEFAULT_CHALLENGE_TTL = 60.0
 DEFAULT_SQN_STEP = 1
 
 
-@dataclass
-class SubscriberRecord:
-    imsi: str
-    key_material: MilenageKeyMaterial
-    sqn_he: int = 0
-    amf: bytes = DEFAULT_AMF
-
-
 @dataclass(frozen=True)
 class PendingChallenge:
     challenge_id: str
@@ -70,6 +63,7 @@ class NetworkCore:
     def __init__(
         self,
         state_dir: str | Path,
+        keys: Callable[[str], MilenageKeyMaterial | None],
         *,
         sqn_step: int = DEFAULT_SQN_STEP,
         challenge_ttl: float = DEFAULT_CHALLENGE_TTL,
@@ -81,7 +75,8 @@ class NetworkCore:
         self.sqn_step = sqn_step
         self.challenge_ttl = challenge_ttl
         self.clock = clock
-        self._subscribers: dict[str, SubscriberRecord] = {}
+        self._keys = keys
+        self._sqn_he: dict[str, int] = {}  # an IMSI reads 0 until its first vector
         self._pending: dict[str, PendingChallenge] = {}  # in issue order
         self._lock = threading.RLock()  # issuing a challenge expires under it too
         self._log = RecordLog(
@@ -90,21 +85,14 @@ class NetworkCore:
         )
 
     def _apply(self, rec: dict) -> None:
-        """The only writer of subscriber and challenge state."""
+        """The only writer of SQN and challenge state. A `subscriber` record,
+        written by older versions with the subscriber's keys, is read as a
+        `sqn` record and its key bytes are ignored."""
         kind = rec["type"]
-        if kind == "subscriber":
-            self._subscribers[rec["imsi"]] = SubscriberRecord(
-                imsi=rec["imsi"],
-                key_material=MilenageKeyMaterial(
-                    k=bytes.fromhex(rec["k"]), opc=bytes.fromhex(rec["opc"])
-                ),
-                sqn_he=int(rec["sqn_he"]),
-                amf=bytes.fromhex(rec["amf"]),
-            )
-        elif kind == "sqn":
-            self._subscribers[rec["imsi"]].sqn_he = int(rec["sqn_he"])
+        if kind in ("sqn", "subscriber"):
+            self._sqn_he[rec["imsi"]] = int(rec["sqn_he"])
         elif kind == "challenge":
-            self._subscribers[rec["imsi"]].sqn_he = int(rec["sqn_he"])
+            self._sqn_he[rec["imsi"]] = int(rec["sqn_he"])
             self._pending[rec["challenge_id"]] = PendingChallenge(
                 challenge_id=rec["challenge_id"],
                 imsi=rec["imsi"],
@@ -117,41 +105,31 @@ class NetworkCore:
             self._pending.pop(rec["challenge_id"], None)
 
     def _snapshot(self):
-        """Records that rebuild the subscribers and the pending challenges,
-        in issue order. Replaying a `challenge` sets its subscriber's SQN,
-        so each one here carries the subscriber's current SQN, not the one
-        it was issued at."""
-        for sub in self._subscribers.values():
-            yield _subscriber_record(sub)
+        """Records that rebuild the SQNs and the pending challenges, in issue
+        order; none carries a key. Replaying a `challenge` sets its IMSI's
+        SQN, so each one here carries the current SQN, not the one it was
+        issued at."""
+        for imsi, sqn_he in self._sqn_he.items():
+            yield {"type": "sqn", "imsi": imsi, "sqn_he": sqn_he}
         for challenge in self._pending.values():
-            yield _challenge_record(challenge, self._subscribers[challenge.imsi].sqn_he)
+            yield _challenge_record(challenge, self._sqn_he[challenge.imsi])
 
-    def _require(self, imsi: str) -> SubscriberRecord:
-        sub = self._subscribers.get(imsi)
-        if sub is None:
+    def _require(self, imsi: str) -> MilenageKeyMaterial:
+        key_material = self._keys(imsi)
+        if key_material is None:
             raise UnknownSubscriber(f"no subscriber for imsi {imsi}")
-        return sub
-
-    def register_subscriber(
-        self, imsi: str, key_material: MilenageKeyMaterial, *, amf: bytes = DEFAULT_AMF
-    ) -> None:
-        if not (isinstance(imsi, str) and imsi.isdigit() and len(imsi) == 15):
-            raise InvalidImsi(f"imsi must be 15 decimal digits, got {imsi!r}")
-        with self._lock:
-            if imsi in self._subscribers:
-                raise DuplicateSubscriber(f"imsi already registered: {imsi}")
-            self._log.append(_subscriber_record(SubscriberRecord(imsi, key_material, amf=amf)))
+        return key_material
 
     def generate_challenge(self, imsi: str) -> dict:
         """Issue a fresh (challenge_id, rand, autn) for delivery to the agent."""
         with self._lock:
             self.expire_stale_challenges()
-            sub = self._require(imsi)
-            sqn_he = sub.sqn_he + self.sqn_step
+            key_material = self._require(imsi)
+            sqn_he = self._sqn_he.get(imsi, 0) + self.sqn_step
             if sqn_he > SQN_MAX:
                 raise ResyncMacFailure("sqn space exhausted")  # pragma: no cover
             rand = secrets.token_bytes(16)
-            vector = generate_auth_vector(sub.key_material, rand, sqn_he, sub.amf)
+            vector = generate_auth_vector(key_material, rand, sqn_he, DEFAULT_AMF)
             challenge_id = secrets.token_hex(16)
             now = self.clock()
             challenge = PendingChallenge(
@@ -174,8 +152,7 @@ class NetworkCore:
     def resynchronize(self, imsi: str, rand: bytes, auts: Auts) -> None:
         """Adopt the subscriber's reported SQN so the next vector is fresh."""
         with self._lock:
-            sub = self._require(imsi)
-            sqn_ms = verify_auts(sub.key_material, rand, auts)
+            sqn_ms = verify_auts(self._require(imsi), rand, auts)
             if sqn_ms is None:
                 raise ResyncMacFailure(f"auts mac_s invalid for imsi {imsi}")
             self._log.append({"type": "sqn", "imsi": imsi, "sqn_he": sqn_ms + self.sqn_step})
@@ -196,7 +173,8 @@ class NetworkCore:
 
     def subscriber_sqn(self, imsi: str) -> int:
         with self._lock:
-            return self._require(imsi).sqn_he
+            self._require(imsi)
+            return self._sqn_he.get(imsi, 0)
 
     def pending_count(self) -> int:
         with self._lock:
@@ -204,17 +182,6 @@ class NetworkCore:
 
     def close(self) -> None:
         self._log.close()
-
-
-def _subscriber_record(sub: SubscriberRecord) -> dict:
-    return {
-        "type": "subscriber",
-        "imsi": sub.imsi,
-        "k": sub.key_material.k.hex(),
-        "opc": sub.key_material.opc.hex(),
-        "sqn_he": sub.sqn_he,
-        "amf": sub.amf.hex(),
-    }
 
 
 def _challenge_record(challenge: PendingChallenge, sqn_he: int) -> dict:

@@ -70,6 +70,7 @@ def build_stack(
     vault = SimVault(state_dir, sync=sync)
     netcore = NetworkCore(
         state_dir,
+        vault.key_material_for,
         sqn_step=config.sqn_step,
         challenge_ttl=config.challenge_ttl_seconds,
         clock=clock,
@@ -88,7 +89,6 @@ def build_stack(
     )
     gateway = IdentityGateway(
         vault,
-        netcore,
         policies,
         audit,
         roots,

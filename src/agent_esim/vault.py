@@ -4,8 +4,9 @@ Hosts subscriber profiles and executes the USIM half of every
 cryptographic operation on their behalf. The trust boundary is this
 process: subscriber keys and the private signing half enter at install
 time and never appear in any response, status document, or log line. The
-backing state file keeps key bytes in the clear; a production deployment
-would put an HSM behind the same interface.
+vault is their only holder: the network core reads Ki and OPc through
+`key_material_for`. The backing state file keeps key bytes in the clear; a
+production deployment would put an HSM behind the same interface.
 
 Per-profile operations (sequence-number updates, state transitions) are
 serialized by a per-profile lock, so a reader never observes a
@@ -178,7 +179,7 @@ class SimVault:
 
     def __init__(self, state_dir: str | Path, *, sync: bool = True):
         self._profiles: dict[str, SimProfile] = {}
-        self._imsis: set[str] = set()
+        self._by_imsi: dict[str, SimProfile] = {}
         self._iccids: set[str] = set()
         self._locks: dict[str, threading.RLock] = {}
         self._registry_lock = threading.Lock()
@@ -195,7 +196,7 @@ class SimVault:
         if kind == "install":
             profile = _profile_from_record(rec["profile"])
             self._profiles[profile.profile_id] = profile
-            self._imsis.add(profile.imsi)
+            self._by_imsi[profile.imsi] = profile
             self._iccids.add(profile.iccid)
         elif kind == "state":
             self._profiles[rec["profile_id"]].state = ProfileState(rec["state"])
@@ -237,7 +238,7 @@ class SimVault:
         with self._registry_lock:
             if profile.profile_id in self._profiles:
                 raise DuplicateProfile(f"profile_id already installed: {profile.profile_id}")
-            if profile.imsi in self._imsis:
+            if profile.imsi in self._by_imsi:
                 raise DuplicateProfile(f"imsi already installed: {profile.imsi}")
             if profile.iccid in self._iccids:
                 raise DuplicateProfile(f"iccid already installed: {profile.iccid}")
@@ -302,6 +303,14 @@ class SimVault:
                 "binding": profile.binding.summary(),
                 "public_signing_key": profile.public_signing_key().hex(),
             }
+
+    def key_material_for(self, imsi: str) -> MilenageKeyMaterial | None:
+        """Ki and OPc of the profile holding `imsi`, or None: the network
+        core's one source of keys, so no second copy is stored anywhere.
+        Lock-free, since profiles are never removed and their key material
+        never changes. A `Suspended` or `Revoked` profile still answers."""
+        profile = self._by_imsi.get(imsi)
+        return None if profile is None else profile.key_material
 
     # -- metadata accessors used by the gateway pipeline ----------------------
 

@@ -120,9 +120,7 @@ def test_criterion_3_resynchronization(tmp_path):
                     AkaSuccess,
                 )
             # operator store rebuilt from zero: its next vector is stale
-            rebuilt = NetworkCore(tmp_path / f"rebuilt-{trial}")
-            km = stack.vault._profiles[profile_id].key_material
-            rebuilt.register_subscriber(imsi, km)
+            rebuilt = NetworkCore(tmp_path / f"rebuilt-{trial}", stack.vault.key_material_for)
 
             stale = rebuilt.generate_challenge(imsi)
             first = stack.gateway.handle_authenticate(

@@ -59,14 +59,12 @@ def test_agent_authenticate_healthy(env):
 
 def test_agent_authenticate_with_resync(env, tmp_path):
     stack, server = env
-    agent, result = make_agent(stack, server)
+    agent, _ = make_agent(stack, server)
     relying = RelyingService(stack.netcore)
     # move the vault's accepted SQN ahead of a rebuilt operator store
     for _ in range(4):
         assert agent_authenticate(agent, relying).authenticated
-    profile = stack.vault._profiles[agent.profile_id]
-    fresh_core = NetworkCore(tmp_path / "rebuilt-core")
-    fresh_core.register_subscriber(result["imsi"], profile.key_material)
+    fresh_core = NetworkCore(tmp_path / "rebuilt-core", stack.vault.key_material_for)
     rebuilt = RelyingService(fresh_core)
     session = agent_authenticate(agent, rebuilt)
     assert session.authenticated is True

@@ -16,6 +16,8 @@ from agent_esim.errors import (
     MalformedRequest,
     StorageFailure,
     UnknownProfile,
+    UnknownSubscriber,
+    VaultError,
 )
 from agent_esim.gateway import ProvisionRequest
 from agent_esim.policy import (
@@ -368,9 +370,6 @@ ENTRY_POINTS = {
     "authenticate": ("vault", "usim_authenticate", _authenticate),
     "status": ("vault", "get_profile_status", lambda s, pid, res, m: s.gateway.handle_status(pid)),
     "provision": ("policies", "set", lambda s, pid, res, m: s.provision()),
-    "provision-register": (
-        "netcore", "register_subscriber", lambda s, pid, res, m: s.provision()
-    ),
     "revoke": (
         "vault", "set_profile_state",
         lambda s, pid, res, m: s.gateway.revoke_profile(pid, "test"),
@@ -397,8 +396,6 @@ def test_fail_closed_on_audit_storage_failure(stack, entry):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_fail_closed_on_vault_internal_failure(stack, monkeypatch, entry):
-    from agent_esim.errors import VaultError
-
     store, method, call = ENTRY_POINTS[entry]
     profile_id, result, measurement = provisioned_agent(stack)
 
@@ -419,6 +416,29 @@ def test_fail_closed_on_vault_internal_failure(stack, monkeypatch, entry):
     rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir))
     assert rebuilt.vault.profile_ids() == profiles
     rebuilt.close()
+
+
+def test_failed_install_leaves_the_imsi_unknown_to_the_network_core(stack, monkeypatch):
+    installing = []
+
+    def explode(profile):
+        installing.append(profile.imsi)
+        raise RuntimeError("simulated secure-element fault")
+
+    monkeypatch.setattr(stack.vault, "install_profile", explode)
+    with pytest.raises(VaultError):
+        stack.provision()
+    (imsi,) = installing
+    with pytest.raises(UnknownSubscriber):
+        stack.netcore.generate_challenge(imsi)
+    assert stack.netcore.pending_count() == 0
+    rebuilt = build_stack(ServiceConfig(state_dir=stack.state_dir))
+    try:
+        with pytest.raises(UnknownSubscriber):
+            rebuilt.netcore.generate_challenge(imsi)
+        assert rebuilt.netcore._sqn_he == {}
+    finally:
+        rebuilt.close()
 
 
 def test_unknown_profile_ids_add_no_locks(stack):

@@ -4,10 +4,10 @@ import secrets
 
 import pytest
 
+from agent_esim import recordlog
+
 from agent_esim.errors import (
     ChallengeExpired,
-    DuplicateSubscriber,
-    InvalidImsi,
     ResyncMacFailure,
     UnknownChallenge,
     UnknownSubscriber,
@@ -19,8 +19,9 @@ from agent_esim.milenage import (
     f2345,
     sqn_from_bytes,
 )
-from agent_esim.netcore import NetworkCore
+from agent_esim.netcore import NETCORE_HEADER, NetworkCore
 from agent_esim.vault import AkaSuccess, AkaSyncFailure, ProfileState, SimVault
+from agent_esim.wire import scan_for_secrets
 
 from tests.test_vault import make_profile
 
@@ -44,8 +45,14 @@ def clock():
 
 
 @pytest.fixture
-def core(tmp_path, clock):
-    c = NetworkCore(tmp_path / "state", clock=clock)
+def keys():
+    """IMSI -> key material: the lookup the core is built with."""
+    return {}
+
+
+@pytest.fixture
+def core(tmp_path, clock, keys):
+    c = NetworkCore(tmp_path / "state", keys.get, clock=clock)
     yield c
     c.close()
 
@@ -54,23 +61,14 @@ def fresh_km():
     return MilenageKeyMaterial(k=secrets.token_bytes(16), opc=secrets.token_bytes(16))
 
 
-def test_register_and_duplicates(core):
-    km = fresh_km()
-    core.register_subscriber(IMSI, km)
-    with pytest.raises(DuplicateSubscriber):
-        core.register_subscriber(IMSI, km)
-    with pytest.raises(InvalidImsi):
-        core.register_subscriber("123", km)
-
-
 def test_generate_challenge_unknown_subscriber(core):
     with pytest.raises(UnknownSubscriber):
         core.generate_challenge(IMSI)
 
 
-def test_challenge_fields_and_sqn_advance(core):
+def test_challenge_fields_and_sqn_advance(core, keys):
     km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys[IMSI] = km
     first = core.generate_challenge(IMSI)
     second = core.generate_challenge(IMSI)
     assert len(first["rand"]) == 16 and len(first["autn"]) == 16
@@ -84,9 +82,9 @@ def test_challenge_fields_and_sqn_advance(core):
     assert core.subscriber_sqn(IMSI) == 2
 
 
-def test_end_to_end_with_vault(tmp_path, core):
+def test_end_to_end_with_vault(tmp_path, core, keys):
     km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys[IMSI] = km
     vault = SimVault(tmp_path / "vault-state")
     vault.install_profile(make_profile(km=km))
     vault.set_profile_state("p-1", ProfileState.ACTIVE)
@@ -101,16 +99,16 @@ def test_end_to_end_with_vault(tmp_path, core):
     vault.close()
 
 
-def test_confirm_res_wrong_response(core):
+def test_confirm_res_wrong_response(core, keys):
     km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys[IMSI] = km
     challenge = core.generate_challenge(IMSI)
     wrong = bytes(8)
     assert core.confirm_res(challenge["challenge_id"], wrong) is False
 
 
-def test_confirm_res_expiry(core, clock):
-    core.register_subscriber(IMSI, fresh_km())
+def test_confirm_res_expiry(core, keys, clock):
+    keys[IMSI] = fresh_km()
     challenge = core.generate_challenge(IMSI)
     clock.advance(61.0)
     with pytest.raises(ChallengeExpired):
@@ -119,8 +117,8 @@ def test_confirm_res_expiry(core, clock):
         core.confirm_res(challenge["challenge_id"], bytes(8))
 
 
-def test_expire_stale_challenges(core, clock):
-    core.register_subscriber(IMSI, fresh_km())
+def test_expire_stale_challenges(core, keys, clock):
+    keys[IMSI] = fresh_km()
     core.generate_challenge(IMSI)
     core.generate_challenge(IMSI)
     assert core.pending_count() == 2
@@ -131,8 +129,8 @@ def test_expire_stale_challenges(core, clock):
 
 def test_issuing_drops_expired_challenges(tmp_path, clock):
     state = tmp_path / "state"
-    core = NetworkCore(state, clock=clock, challenge_ttl=60.0)
-    core.register_subscriber(IMSI, fresh_km())
+    keys = {IMSI: fresh_km()}.get
+    core = NetworkCore(state, keys, clock=clock, challenge_ttl=60.0)
     issued = []  # (issued_at, challenge_id), none answered
     while clock.now < 1000.0 + 3 * 60.0:
         issued.append((clock.now, core.generate_challenge(IMSI)["challenge_id"]))
@@ -145,15 +143,15 @@ def test_issuing_drops_expired_challenges(tmp_path, clock):
         core.confirm_res(issued[0][1], bytes(8))
     core.close()
 
-    reopened = NetworkCore(state, clock=clock, challenge_ttl=60.0)
+    reopened = NetworkCore(state, keys, clock=clock, challenge_ttl=60.0)
     assert reopened.pending_count() == len(last_ttl)
     assert reopened.subscriber_sqn(IMSI) == len(issued)
     reopened.close()
 
 
-def test_resynchronize_round(tmp_path, core):
+def test_resynchronize_round(tmp_path, core, keys):
     km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys[IMSI] = km
     vault = SimVault(tmp_path / "vault-state")
     vault.install_profile(make_profile(km=km))
     vault.set_profile_state("p-1", ProfileState.ACTIVE)
@@ -168,8 +166,7 @@ def test_resynchronize_round(tmp_path, core):
         )
     # now replay an old-style vector: force a stale challenge by rebuilding
     # the operator store from zero
-    fresh = NetworkCore(tmp_path / "fresh-core")
-    fresh.register_subscriber(IMSI, km)
+    fresh = NetworkCore(tmp_path / "fresh-core", keys.get)
     stale = fresh.generate_challenge(IMSI)
     outcome = vault.usim_authenticate("p-1", stale["rand"], stale["autn"])
     assert isinstance(outcome, AkaSyncFailure)
@@ -182,9 +179,9 @@ def test_resynchronize_round(tmp_path, core):
     vault.close()
 
 
-def test_resynchronize_rejects_bad_mac(core):
+def test_resynchronize_rejects_bad_mac(core, keys):
     km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys[IMSI] = km
     challenge = core.generate_challenge(IMSI)
     bogus = Auts(conc_sqn_ms=bytes(6), mac_s=secrets.token_bytes(8))
     with pytest.raises(ResyncMacFailure):
@@ -195,13 +192,12 @@ def test_resynchronize_rejects_bad_mac(core):
 
 def test_restart_preserves_subscribers_and_pending(tmp_path, clock):
     state = tmp_path / "state"
-    core = NetworkCore(state, clock=clock)
-    km = fresh_km()
-    core.register_subscriber(IMSI, km)
+    keys = {IMSI: fresh_km()}.get
+    core = NetworkCore(state, keys, clock=clock)
     challenge = core.generate_challenge(IMSI)
     core.close()
 
-    reopened = NetworkCore(state, clock=clock)
+    reopened = NetworkCore(state, keys, clock=clock)
     assert reopened.subscriber_sqn(IMSI) == 1
     assert reopened.pending_count() == 1
     assert reopened.confirm_res(challenge["challenge_id"], bytes(8)) is False
@@ -209,11 +205,66 @@ def test_restart_preserves_subscribers_and_pending(tmp_path, clock):
 
 
 def test_rand_freshness_over_many_draws(tmp_path):
-    core = NetworkCore(tmp_path / "state", sync=False)
-    core.register_subscriber(IMSI, fresh_km())
+    core = NetworkCore(tmp_path / "state", {IMSI: fresh_km()}.get, sync=False)
     seen = set()
     for _ in range(10_000):
         rand = core.generate_challenge(IMSI)["rand"]
         assert rand not in seen
         seen.add(rand)
     core.close()
+
+
+@pytest.mark.parametrize("state", [ProfileState.SUSPENDED, ProfileState.REVOKED])
+def test_vectors_for_an_inactive_profile(tmp_path, state):
+    """The vault still answers key lookups for a profile that is not Active,
+    so its IMSI keeps getting vectors; the vault refuses to answer them."""
+    km = fresh_km()
+    vault = SimVault(tmp_path / "state")
+    vault.install_profile(make_profile(km=km))
+    vault.set_profile_state("p-1", ProfileState.ACTIVE)
+    vault.set_profile_state("p-1", state)
+    core = NetworkCore(tmp_path / "state", vault.key_material_for)
+    try:
+        challenge = core.generate_challenge(IMSI)
+        assert len(challenge["rand"]) == 16 and len(challenge["autn"]) == 16
+        ak = f2345(km, challenge["rand"])[3]
+        assert sqn_from_bytes(parse_autn(challenge["autn"], ak).sqn) == 1
+    finally:
+        core.close()
+        vault.close()
+
+
+def test_log_with_subscriber_keys_opens_and_compacts_them_away(tmp_path, clock):
+    """A log from when the core kept its own copy of Ki and OPc: the
+    `subscriber` record gives its SQN only, and a compaction drops the keys."""
+    km = fresh_km()
+    vault = SimVault(tmp_path / "state")
+    vault.install_profile(make_profile(km=km))
+    vault.set_profile_state("p-1", ProfileState.ACTIVE)
+    pending = secrets.token_hex(16)
+    records = [
+        {"type": "subscriber", "imsi": IMSI, "k": km.k.hex(), "opc": km.opc.hex(),
+         "sqn_he": 2, "amf": "8000"},
+        {"type": "challenge", "challenge_id": pending, "imsi": IMSI, "sqn_he": 3,
+         "rand": secrets.token_hex(16), "xres": secrets.token_hex(8),
+         "issued_at": clock.now, "expires_at": clock.now + 60.0},
+    ]
+    path = tmp_path / "state" / "netcore.log"
+    recordlog.write_frames(path, NETCORE_HEADER, map(recordlog._encode, records))
+    core = NetworkCore(tmp_path / "state", vault.key_material_for, clock=clock)
+    assert (core._sqn_he, list(core._pending)) == ({IMSI: 3}, [pending])
+
+    challenge = core.generate_challenge(IMSI)
+    outcome = vault.usim_authenticate("p-1", challenge["rand"], challenge["autn"])
+    assert isinstance(outcome, AkaSuccess)
+    assert core.confirm_res(challenge["challenge_id"], outcome.res) is True
+    assert scan_for_secrets(path.read_bytes(), [km.k, km.opc])  # the old record
+    with core._log._lock:
+        core._log._compact()
+    assert scan_for_secrets(path.read_bytes(), [km.k, km.opc]) == []
+    core.close()
+
+    reopened = NetworkCore(tmp_path / "state", vault.key_material_for, clock=clock)
+    assert (reopened._sqn_he, list(reopened._pending)) == ({IMSI: 4}, [pending])
+    reopened.close()
+    vault.close()

@@ -34,6 +34,7 @@ KM = MilenageKeyMaterial(k=secrets.token_bytes(16), opc=secrets.token_bytes(16))
 IMSI = "001010000000001"
 OTHER_IMSI = "001010000000002"
 RAND = secrets.token_bytes(16)
+KEYS = {IMSI: KM}.get
 
 
 def _vault(path):
@@ -44,8 +45,7 @@ def _vault(path):
 
 
 def _core(path):
-    core = NetworkCore(path)
-    core.register_subscriber(IMSI, KM)
+    core = NetworkCore(path, KEYS)
     core.generate_challenge(IMSI)
     return core
 
@@ -69,7 +69,13 @@ def _audit(path):
 
 
 def _netcore_state(core):
-    return {imsi: sub.sqn_he for imsi, sub in core._subscribers.items()}, dict(core._pending)
+    return dict(core._sqn_he), dict(core._pending)
+
+
+def _reopen(store, path):
+    """A store of the same type on `path`; the network core also needs its
+    key lookup."""
+    return NetworkCore(path, KEYS) if isinstance(store, NetworkCore) else type(store)(path)
 
 
 OBSERVE = {
@@ -90,7 +96,6 @@ WRITES = {
             "p-1", RAND, generate_auth_vector(KM, RAND, 5, b"\x80\x00").autn
         ),
     ),
-    "netcore-register": (_core, lambda c: c.register_subscriber(OTHER_IMSI, KM)),
     "netcore-challenge": (_core, lambda c: c.generate_challenge(IMSI)),
     "netcore-confirm": (_core, lambda c: c.confirm_res(next(iter(c._pending)), bytes(8))),
     "netcore-resync": (_core, lambda c: c.resynchronize(IMSI, RAND, build_auts(KM, RAND, 7))),
@@ -125,7 +130,7 @@ def test_torn_append_rebuilds_state_before_it(tmp_path, write):
     store._log.close()
     path = store._log.path
     path.write_bytes(path.read_bytes()[:-10])  # a crash in the middle of that append
-    reopened = type(store)(tmp_path / "state")
+    reopened = _reopen(store, tmp_path / "state")
     assert reopened._log.dropped_bytes > 0
     assert observe(reopened) == before
     reopened._log.close()
@@ -142,9 +147,7 @@ def _snapshot(stack) -> dict:
         vault[pid] = (status["state"], status["sqn_ms"], status["public_signing_key"])
     return {
         "vault": vault,
-        "sqn_he": {
-            imsi: stack.netcore.subscriber_sqn(imsi) for imsi in stack.netcore._subscribers
-        },
+        "sqn_he": dict(stack.netcore._sqn_he),
         "pending": sorted(stack.netcore._pending),
         "policies": {pid: stack.policies.get(pid).policy_id for pid in vault},
         "next_serial": stack.allocator._next,
@@ -293,7 +296,7 @@ def test_compacted_netcore_keeps_sqn_past_a_pending_older_challenge(tmp_path):
     with core._log._lock:
         core._log._compact()
     core.close()
-    reopened = NetworkCore(tmp_path / "state")
+    reopened = NetworkCore(tmp_path / "state", KEYS)
     assert _netcore_state(reopened) == live
     assert reopened.subscriber_sqn(IMSI) == 2
     reopened.close()
@@ -340,9 +343,42 @@ def test_failed_compaction_rebuilds_the_acknowledged_state(tmp_path, monkeypatch
         acknowledged = _netcore_state(core)
     assert _netcore_state(core) == acknowledged
     core.close()
-    reopened = NetworkCore(tmp_path / "state")
+    reopened = NetworkCore(tmp_path / "state", KEYS)
     assert _netcore_state(reopened) == acknowledged
     reopened.close()
+
+
+def test_netcore_log_holds_no_key_material(tmp_path, monkeypatch):
+    """The vault is the only holder of Ki and OPc: neither provisioning nor
+    AKA flows nor a compaction put any of them in `netcore.log`."""
+    monkeypatch.setattr(recordlog, "COMPACT_MIN_BYTES", 1024)
+    compactions = Counter()
+    compact = recordlog.RecordLog._compact
+
+    def counted(log):
+        compactions[log.path.name] += 1
+        compact(log)
+
+    monkeypatch.setattr(recordlog.RecordLog, "_compact", counted)
+    stack = Stack(tmp_path / "state", sync=False)
+    try:
+        relying = RelyingService(stack.netcore)
+        agents = [stack.provision() for _ in range(2)]
+        for _ in range(20):
+            for result, measurement in agents:
+                challenge = relying.request_challenge(result["imsi"])
+                outcome = stack.gateway.handle_authenticate(
+                    result["profile_id"], challenge["rand"], challenge["autn"],
+                    stack.token_for(measurement), "127.0.0.1",
+                )
+                assert relying.submit_response(challenge["challenge_id"], outcome.res)
+        assert compactions["netcore.log"] >= 2, compactions
+        keys = secrets_of(stack)
+        # the scan finds the keys where they are stored, and none in netcore.log
+        assert scan_for_secrets((stack.state_dir / "vault.log").read_bytes(), keys)
+        assert scan_for_secrets((stack.state_dir / "netcore.log").read_bytes(), keys) == []
+    finally:
+        stack.close()
 
 
 def test_aka_traffic_keeps_the_logs_bounded(tmp_path, monkeypatch):
@@ -445,8 +481,7 @@ def test_unsynced_stack_provisions_without_fsync(tmp_path, monkeypatch):
 
 
 def test_concurrent_writes_apply_every_record(tmp_path):
-    core = NetworkCore(tmp_path / "state", sync=False)
-    core.register_subscriber(IMSI, KM)
+    core = NetworkCore(tmp_path / "state", KEYS, sync=False)
     allocator = IdentifierAllocator(tmp_path / "state")
     threads, rounds = 6, 40
     interval = sys.getswitchinterval()
@@ -473,7 +508,7 @@ def test_concurrent_writes_apply_every_record(tmp_path):
     assert allocator._next == threads * rounds + 1
     core.close()
     allocator.close()
-    reopened = NetworkCore(tmp_path / "state")
+    reopened = NetworkCore(tmp_path / "state", KEYS)
     assert reopened.subscriber_sqn(IMSI) == threads * rounds
     assert reopened.pending_count() == threads * rounds // 2
     reopened.close()
