@@ -276,11 +276,9 @@ class AdminClient(GatewayClient):
             "POST", "/admin/revoke", {"profile_id": profile_id, "reason": reason}
         )
 
-    def lifecycle(self, profile_id: str, action: str, reason: str = "") -> dict:
+    def lifecycle(self, profile_id: str, action: str) -> dict:
         return self._admin_call(
-            "POST",
-            "/admin/lifecycle",
-            {"profile_id": profile_id, "action": action, "reason": reason},
+            "POST", "/admin/lifecycle", {"profile_id": profile_id, "action": action}
         )
 
     def update_policy(self, profile_id: str, policy_document: dict) -> dict:

@@ -18,14 +18,16 @@ the outcome of every identity and admin operation to exactly one audit
 record — allow, deny, or error — appended before the response is
 released; if the append fails the request fails closed. An unexpected
 failure is audited as `VaultError` and answers 503. Status is read-only:
-it bypasses the pipeline, takes no gateway lock, is exempt from rate
-limiting, and is still audited.
+it bypasses the pipeline and is exempt from rate limiting, but like every
+other operation it runs and is audited under the profile's mutex.
 
-The per-profile mutex is also taken by revocation and policy updates, so
-rate-limit exactness holds under concurrency and no allow can be admitted
-after a revocation returns (the linearization point is the vault state
-write under that mutex). Mutexes are kept only for profiles the vault
-holds, so requests for unknown ids add no state beyond their record.
+`_audited` takes that mutex for every operation, revocation and policy
+updates included, so rate-limit exactness holds under concurrency and no
+allow can be admitted after a revocation returns (the linearization point
+is the vault state write under that mutex). Each profile's mutex and rate
+window live together in one gate, and gates are kept only for profiles
+the vault holds, so requests for unknown ids add no state beyond their
+record.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import secrets
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .attestation import AttestationToken, RootRegistry, verify_token_integrity
@@ -46,7 +48,6 @@ from .errors import (
     InvalidProfile,
     MalformedRequest,
     StorageFailure,
-    UnknownProfile,
     VaultError,
 )
 from .identifiers import IdentifierAllocator
@@ -56,7 +57,7 @@ from .policy import (
     DenyReason,
     GatewayOp,
     PolicyStore,
-    SlidingWindowRateLimiter,
+    RateState,
     enforce_policy,
 )
 from .vault import (
@@ -71,8 +72,15 @@ from .wire import request_digest
 _LIFECYCLE_TARGETS = {
     "suspend": ProfileState.SUSPENDED,
     "resume": ProfileState.ACTIVE,
-    "revoke": ProfileState.REVOKED,
 }
+
+
+@dataclass
+class _Gate:
+    """One profile's mutex and the rate window that only its holder uses."""
+
+    lock: threading.RLock = field(default_factory=threading.RLock)
+    rate: RateState = field(default_factory=RateState)
 
 
 @dataclass(frozen=True)
@@ -121,58 +129,51 @@ class IdentityGateway:
         self.default_policy = default_policy
         self.operator_op = operator_op
         self.clock = clock
-        self.rate_limiter = SlidingWindowRateLimiter()
-        self._pipeline_locks: dict[str, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
+        self._gates: dict[str, _Gate] = {}
 
     # -- plumbing --------------------------------------------------------------
 
-    def _lock_for(self, profile_id: str) -> threading.RLock:
+    def _gate(self, profile_id: str) -> _Gate:
         """An id the vault does not hold (unknown, or being provisioned and
-        not yet given to any caller) gets a private lock that is not kept."""
-        with self._locks_guard:
-            lock = self._pipeline_locks.get(profile_id)
-            if lock is None:
-                lock = threading.RLock()
-                if profile_id in self.vault:
-                    self._pipeline_locks[profile_id] = lock
-            return lock
-
-    def _policy_for(self, profile_id: str) -> DelegationPolicy:
-        try:
-            return self.policies.get(profile_id)
-        except UnknownProfile:
-            if self.default_policy is not None:
-                return self.default_policy
-            raise
+        not yet given to any caller) gets a private gate that is not kept.
+        `setdefault` is atomic, so racing first callers share one gate."""
+        gate = self._gates.get(profile_id)
+        if gate is None:
+            gate = _Gate()
+            if profile_id in self.vault:
+                gate = self._gates.setdefault(profile_id, gate)
+        return gate
 
     def _audited(
         self,
         profile_id: str,
         audit_op: AuditOperation,
         digest: bytes,
-        action: Callable[[], tuple[object, str | None]],
+        action: Callable[[RateState], tuple[object, str | None]],
     ):
-        """Run `action`, which returns (result, audit_detail); exactly one
-        audit record is appended before anything is returned or raised."""
-        try:
-            result, detail = action()
-        except GatewayDenied as denial:
-            outcome = AuditOutcome.denied(denial.reason.value)
-            self.audit.append(profile_id, audit_op, outcome, digest)
-            raise
-        except StorageFailure:
-            raise  # fail closed; nothing more we can durably record
-        except AgentEsimError as err:
-            outcome = AuditOutcome.error(type(err).__name__)
-            self.audit.append(profile_id, audit_op, outcome, digest)
-            raise
-        except Exception as err:
-            outcome = AuditOutcome.error("VaultError")
-            self.audit.append(profile_id, audit_op, outcome, digest)
-            raise VaultError(f"internal failure during {audit_op.value}") from err
-        self.audit.append(profile_id, audit_op, AuditOutcome.allowed(detail), digest)
-        return result
+        """Under the profile's gate, run `action` on its rate window;
+        `action` returns (result, audit_detail). Exactly one audit record
+        is appended before anything is returned or raised."""
+        gate = self._gate(profile_id)
+        with gate.lock:
+            try:
+                result, detail = action(gate.rate)
+            except GatewayDenied as denial:
+                outcome = AuditOutcome.denied(denial.reason.value)
+                self.audit.append(profile_id, audit_op, outcome, digest)
+                raise
+            except StorageFailure:
+                raise  # fail closed; nothing more we can durably record
+            except AgentEsimError as err:
+                outcome = AuditOutcome.error(type(err).__name__)
+                self.audit.append(profile_id, audit_op, outcome, digest)
+                raise
+            except Exception as err:
+                outcome = AuditOutcome.error("VaultError")
+                self.audit.append(profile_id, audit_op, outcome, digest)
+                raise VaultError(f"internal failure during {audit_op.value}") from err
+            self.audit.append(profile_id, audit_op, AuditOutcome.allowed(detail), digest)
+            return result
 
     def _run_pipeline(
         self,
@@ -180,6 +181,7 @@ class IdentityGateway:
         profile_id: str,
         attestation: AttestationToken | None,
         source_address: str,
+        rate: RateState,
     ) -> None:
         """Checks 1-7; raises GatewayDenied at the first failure."""
         now = self.clock()
@@ -191,13 +193,12 @@ class IdentityGateway:
         ) is not None:
             raise GatewayDenied(DenyReason.ATTESTATION)
         binding = self.vault.get_binding(profile_id)
-        policy = self._policy_for(profile_id)
         decision = enforce_policy(
-            policy,
+            self.policies.get(profile_id),
             op,
             source_address,
             now,
-            self.rate_limiter.state_for(profile_id),
+            rate,
             measurement=attestation.measurement,
             binding_measurements=binding.expected_measurements,
         )
@@ -217,12 +218,13 @@ class IdentityGateway:
             raise MalformedRequest("payload_digest must be 32 bytes")
         digest = request_digest("sign", profile_id, {"payload_digest": payload_digest})
 
-        def sign():
-            self._run_pipeline(GatewayOp.SIGN, profile_id, attestation, source_address)
+        def sign(rate):
+            self._run_pipeline(
+                GatewayOp.SIGN, profile_id, attestation, source_address, rate
+            )
             return self.vault.usim_sign(profile_id, payload_digest), None
 
-        with self._lock_for(profile_id):
-            return self._audited(profile_id, AuditOperation.SIGN, digest, sign)
+        return self._audited(profile_id, AuditOperation.SIGN, digest, sign)
 
     def handle_authenticate(
         self,
@@ -238,17 +240,16 @@ class IdentityGateway:
             "authenticate", profile_id, {"rand": rand, "autn": autn}
         )
 
-        def authenticate():
+        def authenticate(rate):
             self._run_pipeline(
-                GatewayOp.AUTHENTICATE, profile_id, attestation, source_address
+                GatewayOp.AUTHENTICATE, profile_id, attestation, source_address, rate
             )
             outcome = self.vault.usim_authenticate(profile_id, rand, autn)
             return outcome, outcome.kind
 
-        with self._lock_for(profile_id):
-            return self._audited(
-                profile_id, AuditOperation.AUTHENTICATE, digest, authenticate
-            )
+        return self._audited(
+            profile_id, AuditOperation.AUTHENTICATE, digest, authenticate
+        )
 
     def handle_status(
         self,
@@ -259,19 +260,13 @@ class IdentityGateway:
         """Read-only; bypasses the pipeline and never spends rate budget."""
         digest = request_digest("status", profile_id, {})
 
-        def report():
+        def report(rate):
             status = self.vault.get_profile_status(profile_id)
             now = self.clock()
-            try:
-                policy = self._policy_for(profile_id)
-            except UnknownProfile:
-                policy = None
+            policy = self.policies.get(profile_id)
             status["bound"] = status["state"] == ProfileState.ACTIVE.value
-            if policy is not None:
-                status["policy"] = policy.to_json()
-                status["rate_limit_headroom"] = self.rate_limiter.headroom(
-                    profile_id, policy.rate_limit, now
-                )
+            status["policy"] = policy.to_json()
+            status["rate_limit_headroom"] = rate.headroom(policy.rate_limit, now)
             if attestation is not None:
                 status["attestation_ok"] = (
                     verify_token_integrity(attestation, self.roots, now) is None
@@ -310,7 +305,7 @@ class IdentityGateway:
             },
         )
 
-        def install():
+        def install(_rate):
             # The vault install, already Active, is the commit point: a
             # failure before it leaves no profile (at most a policy under an
             # id no caller was given). The network core reads the keys from
@@ -321,8 +316,7 @@ class IdentityGateway:
             self.vault.install_profile(profile)
             return profile, None
 
-        with self._lock_for(profile_id):
-            profile = self._audited(profile_id, AuditOperation.PROVISION, digest, install)
+        profile = self._audited(profile_id, AuditOperation.PROVISION, digest, install)
         return {
             "profile_id": profile_id,
             "imsi": imsi,
@@ -336,32 +330,28 @@ class IdentityGateway:
             "revoke", profile_id, {"reason": reason.encode("utf-8")}
         )
 
-        def revoke():
+        def revoke(_rate):
             previous = self.vault.set_profile_state(profile_id, ProfileState.REVOKED)
             return previous, f"Revoked: {reason}"
 
-        with self._lock_for(profile_id):
-            return self._audited(profile_id, AuditOperation.STATE_CHANGE, digest, revoke)
+        return self._audited(profile_id, AuditOperation.STATE_CHANGE, digest, revoke)
 
-    def lifecycle(self, profile_id: str, action: str, *, reason: str = "") -> dict:
+    def lifecycle(self, profile_id: str, action: str) -> dict:
+        """Suspend or resume; revocation has its own call, `revoke_profile`."""
         if action not in _LIFECYCLE_TARGETS:
             raise MalformedRequest(f"unknown lifecycle action: {action}")
-        if action == "revoke":
-            previous = self.revoke_profile(profile_id, reason or "operator request")
-            return {"previous_state": previous.value, "state": ProfileState.REVOKED.value}
         target = _LIFECYCLE_TARGETS[action]
         digest = request_digest(
             "lifecycle", profile_id, {"action": action.encode("ascii")}
         )
 
-        def transition():
+        def transition(_rate):
             previous = self.vault.set_profile_state(profile_id, target)
             return previous, f"{previous.value} -> {target.value}"
 
-        with self._lock_for(profile_id):
-            previous = self._audited(
-                profile_id, AuditOperation.STATE_CHANGE, digest, transition
-            )
+        previous = self._audited(
+            profile_id, AuditOperation.STATE_CHANGE, digest, transition
+        )
         return {"previous_state": previous.value, "state": target.value}
 
     def update_policy(self, profile_id: str, new_policy: DelegationPolicy) -> str | None:
@@ -370,13 +360,12 @@ class IdentityGateway:
             "policy", profile_id, {"policy_id": new_policy.policy_id.encode("utf-8")}
         )
 
-        def swap():
+        def swap(_rate):
             self.vault.get_state(profile_id)  # profile must exist
             previous = self.policies.set(profile_id, new_policy)
             return previous, f"{previous or '-'} -> {new_policy.policy_id}"
 
-        with self._lock_for(profile_id):
-            return self._audited(profile_id, AuditOperation.POLICY_UPDATE, digest, swap)
+        return self._audited(profile_id, AuditOperation.POLICY_UPDATE, digest, swap)
 
     def verify_audit(self) -> ChainStatus:
         return self.audit.verify()

@@ -12,7 +12,7 @@ desk-scale stand-in for a mutually authenticated channel):
 
     POST /admin/provision          provisioning request document
     POST /admin/revoke             {profile_id, reason}
-    POST /admin/lifecycle          {profile_id, action, reason?}
+    POST /admin/lifecycle          {profile_id, action: suspend | resume}
     POST /admin/policy             {profile_id, policy}
     GET  /admin/audit/verify
 
@@ -426,9 +426,7 @@ class _Handler(socketserver.StreamRequestHandler):
         self._require_admin()
         body = self._body()
         result = self.gateway.lifecycle(
-            _str_field(body, "profile_id"),
-            _str_field(body, "action"),
-            reason=body.get("reason") or "",
+            _str_field(body, "profile_id"), _str_field(body, "action")
         )
         return 200, result, None
 

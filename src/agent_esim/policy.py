@@ -172,50 +172,32 @@ def cidr_match(source_address: str, prefixes: Iterable[str]) -> bool:
 
 
 class RateState:
-    """Recorded admission times for one profile."""
+    """Recorded admission times for one profile. Not thread-safe: its
+    caller serializes every use (the gateway holds the profile's gate)."""
 
-    __slots__ = ("events", "lock")
+    __slots__ = ("events",)
 
     def __init__(self):
         self.events: deque[float] = deque()
-        self.lock = threading.Lock()
 
     def prune(self, window_start: float) -> None:
         while self.events and self.events[0] < window_start:
             self.events.popleft()
 
     def headroom(self, limit: RateLimit, now: float) -> int:
-        with self.lock:
-            self.prune(now - limit.window_seconds)
-            return max(0, limit.max_ops - len(self.events))
+        self.prune(now - limit.window_seconds)
+        return max(0, limit.max_ops - len(self.events))
 
     def try_consume(self, limit: RateLimit, now: float) -> tuple[bool, float | None]:
         """Admit-or-deny; on deny, report seconds until the budget frees."""
-        with self.lock:
-            self.prune(now - limit.window_seconds)
-            if len(self.events) < limit.max_ops:
-                self.events.append(now)
-                return True, None
-            if limit.max_ops == 0:
-                return False, limit.window_seconds
-            blocker = self.events[len(self.events) - limit.max_ops]
-            return False, max(0.0, blocker + limit.window_seconds - now)
-
-
-class SlidingWindowRateLimiter:
-    def __init__(self):
-        self._states: dict[str, RateState] = {}
-        self._lock = threading.Lock()
-
-    def state_for(self, profile_id: str) -> RateState:
-        with self._lock:
-            state = self._states.get(profile_id)
-            if state is None:
-                state = self._states[profile_id] = RateState()
-            return state
-
-    def headroom(self, profile_id: str, limit: RateLimit, now: float) -> int:
-        return self.state_for(profile_id).headroom(limit, now)
+        self.prune(now - limit.window_seconds)
+        if len(self.events) < limit.max_ops:
+            self.events.append(now)
+            return True, None
+        if limit.max_ops == 0:
+            return False, limit.window_seconds
+        blocker = self.events[len(self.events) - limit.max_ops]
+        return False, max(0.0, blocker + limit.window_seconds - now)
 
 
 @dataclass(frozen=True)

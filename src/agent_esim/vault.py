@@ -8,9 +8,13 @@ vault is their only holder: the network core reads Ki and OPc through
 `key_material_for`. The backing state file keeps key bytes in the clear; a
 production deployment would put an HSM behind the same interface.
 
-Per-profile operations (sequence-number updates, state transitions) are
-serialized by a per-profile lock, so a reader never observes a
-half-applied transition and SQN acceptance is strictly monotonic.
+One vault lock is held across each check and the write it guards: install
+uniqueness, a state transition, and SQN acceptance with its `sqn` record,
+so SQN acceptance is strictly monotonic. Each write changes one field, so
+a reader needs no lock to see whole states. MILENAGE and signing run
+outside the lock, since key material never changes; that no sign follows
+an acknowledged revoke is the gateway's guarantee, through its
+per-profile gate.
 """
 
 from __future__ import annotations
@@ -181,8 +185,7 @@ class SimVault:
         self._profiles: dict[str, SimProfile] = {}
         self._by_imsi: dict[str, SimProfile] = {}
         self._iccids: set[str] = set()
-        self._locks: dict[str, threading.RLock] = {}
-        self._registry_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._log = RecordLog(
             Path(state_dir) / "vault.log", VAULT_HEADER, self._apply,
             sync=sync, snapshot=self._snapshot,
@@ -209,14 +212,6 @@ class SimVault:
         for profile in self._profiles.values():
             yield {"type": "install", "profile": _profile_to_record(profile)}
 
-    def _lock_for(self, profile_id: str) -> threading.RLock:
-        with self._registry_lock:
-            self._require(profile_id)  # no lock is made for an unknown id
-            lock = self._locks.get(profile_id)
-            if lock is None:
-                lock = self._locks[profile_id] = threading.RLock()
-            return lock
-
     def _require(self, profile_id: str) -> SimProfile:
         profile = self._profiles.get(profile_id)
         if profile is None:
@@ -235,7 +230,7 @@ class SimVault:
             raise InvalidProfile(
                 "binding.expected_measurements", "at least one measurement required"
             )
-        with self._registry_lock:
+        with self._lock:
             if profile.profile_id in self._profiles:
                 raise DuplicateProfile(f"profile_id already installed: {profile.profile_id}")
             if profile.imsi in self._by_imsi:
@@ -246,14 +241,14 @@ class SimVault:
         return profile.profile_id
 
     def usim_authenticate(self, profile_id: str, rand: bytes, autn: bytes) -> AkaOutcome:
-        with self._lock_for(profile_id):
-            profile = self._require(profile_id)
+        profile = self._require(profile_id)
+        km = profile.key_material
+        res, ck, ik, ak = f2345(km, rand)
+        parsed = parse_autn(autn, ak)
+        xmac = f1(km, rand, parsed.sqn, parsed.amf)[0]
+        with self._lock:
             if profile.state is not ProfileState.ACTIVE:
                 raise ProfileNotActive(profile.state)
-            km = profile.key_material
-            res, ck, ik, ak = f2345(km, rand)
-            parsed = parse_autn(autn, ak)
-            xmac = f1(km, rand, parsed.sqn, parsed.amf)[0]
             if not hmac.compare_digest(xmac, parsed.mac_a):
                 return AkaMacFailure()
             sqn = sqn_from_bytes(parsed.sqn)
@@ -265,21 +260,18 @@ class SimVault:
     def usim_sign(self, profile_id: str, payload_digest: bytes) -> dict:
         if len(payload_digest) != 32:
             raise InvalidProfile("payload_digest", "payload digest must be 32 bytes")
-        with self._lock_for(profile_id):
-            profile = self._require(profile_id)
-            if profile.state is not ProfileState.ACTIVE:
-                raise ProfileNotActive(profile.state)
-            signature = profile.signing_key.sign(
-                signing_message(profile_id, payload_digest)
-            )
-            return {
-                "profile_id": profile_id,
-                "signature": signature.hex(),
-                "public_key": profile.public_signing_key().hex(),
-            }
+        profile = self._require(profile_id)
+        if profile.state is not ProfileState.ACTIVE:
+            raise ProfileNotActive(profile.state)
+        signature = profile.signing_key.sign(signing_message(profile_id, payload_digest))
+        return {
+            "profile_id": profile_id,
+            "signature": signature.hex(),
+            "public_key": profile.public_signing_key().hex(),
+        }
 
     def set_profile_state(self, profile_id: str, new_state: ProfileState) -> ProfileState:
-        with self._lock_for(profile_id):
+        with self._lock:
             profile = self._require(profile_id)
             previous = profile.state
             if previous is ProfileState.REVOKED and new_state is ProfileState.REVOKED:
@@ -292,17 +284,16 @@ class SimVault:
             return previous
 
     def get_profile_status(self, profile_id: str) -> dict:
-        with self._lock_for(profile_id):
-            profile = self._require(profile_id)
-            return {
-                "profile_id": profile.profile_id,
-                "state": profile.state.value,
-                "imsi": profile.imsi,
-                "iccid": profile.iccid,
-                "sqn_ms": profile.sqn_ms,
-                "binding": profile.binding.summary(),
-                "public_signing_key": profile.public_signing_key().hex(),
-            }
+        profile = self._require(profile_id)
+        return {
+            "profile_id": profile.profile_id,
+            "state": profile.state.value,
+            "imsi": profile.imsi,
+            "iccid": profile.iccid,
+            "sqn_ms": profile.sqn_ms,
+            "binding": profile.binding.summary(),
+            "public_signing_key": profile.public_signing_key().hex(),
+        }
 
     def key_material_for(self, imsi: str) -> MilenageKeyMaterial | None:
         """Ki and OPc of the profile holding `imsi`, or None: the network
@@ -324,7 +315,7 @@ class SimVault:
         return profile_id in self._profiles
 
     def profile_ids(self) -> list[str]:
-        with self._registry_lock:
+        with self._lock:
             return sorted(self._profiles)
 
     def close(self) -> None:

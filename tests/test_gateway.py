@@ -234,6 +234,33 @@ def test_status_exempt_from_rate_limit_and_measurement(stack):
     assert status["policy"]["policy_id"] == policy.policy_id
 
 
+def test_status_waits_for_the_gate(stack):
+    profile_id, _, _ = provisioned_agent(stack)
+    stack.gateway.handle_status(profile_id)  # keeps the profile's gate
+    gate = stack.gateway._gates[profile_id]
+    held, release = threading.Event(), threading.Event()
+    statuses = []
+
+    def holder():
+        with gate.lock:
+            held.set()
+            release.wait(5)
+
+    holding = threading.Thread(target=holder)
+    holding.start()
+    held.wait(5)
+    asking = threading.Thread(
+        target=lambda: statuses.append(stack.gateway.handle_status(profile_id))
+    )
+    asking.start()
+    asking.join(0.2)
+    assert statuses == []  # still waiting on the gate
+    release.set()
+    holding.join()
+    asking.join(5)
+    assert [s["state"] for s in statuses] == ["Active"]
+
+
 def test_status_of_revoked_profile(stack):
     profile_id, _, _ = provisioned_agent(stack)
     stack.gateway.revoke_profile(profile_id, "compromised")
@@ -444,17 +471,14 @@ def test_failed_install_leaves_the_imsi_unknown_to_the_network_core(stack, monke
 def test_unknown_profile_ids_add_no_locks(stack):
     profile_id, _, measurement = provisioned_agent(stack)
     stack.gateway.handle_sign(profile_id, bytes(32), stack.token_for(measurement), "127.0.0.1")
-    gateway_locks = len(stack.gateway._pipeline_locks)
-    vault_locks = len(stack.vault._locks)
-    assert gateway_locks == vault_locks == 1
+    assert list(stack.gateway._gates) == [profile_id]
     before = len(stack.audit.records())
     for i in range(50):
         with pytest.raises(UnknownProfile):
             stack.gateway.handle_sign(f"esim-ghost{i}", bytes(32), None, "127.0.0.1")
         with pytest.raises(UnknownProfile):
             stack.gateway.handle_status(f"esim-ghost{i}")
-    assert len(stack.gateway._pipeline_locks) == gateway_locks
-    assert len(stack.vault._locks) == vault_locks
+    assert list(stack.gateway._gates) == [profile_id]
     new_records = stack.audit.records()[before:]
     assert len(new_records) == 100
     assert {(r.outcome.kind, r.outcome.detail) for r in new_records} == {
@@ -479,6 +503,28 @@ def test_provision_rejects_empty_measurements(stack):
             enterprise_namespace="acme",
             initial_policy=permissive_policy(),
         )
+
+
+def request_without_policy():
+    return ProvisionRequest(
+        agent_public_key=secrets.token_bytes(32),
+        expected_measurements=frozenset({secrets.token_bytes(32)}),
+        enterprise_namespace="acme/test",
+    )
+
+
+def test_provision_without_a_policy_binds_the_default(stack):
+    stack.gateway.default_policy = permissive_policy(policy_id="fallback")
+    profile_id = stack.gateway.admin_provision(request_without_policy())["profile_id"]
+    assert stack.policies.get(profile_id).policy_id == "fallback"
+    assert stack.gateway.handle_status(profile_id)["policy"]["policy_id"] == "fallback"
+
+
+def test_provision_without_any_policy_is_refused(stack):
+    assert stack.gateway.default_policy is None
+    with pytest.raises(InvalidPolicy):
+        stack.gateway.admin_provision(request_without_policy())
+    assert stack.vault.profile_ids() == []
 
 
 def test_provision_output_is_public_only(stack):

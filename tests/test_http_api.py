@@ -192,6 +192,21 @@ def test_lifecycle_endpoints(served):
     assert body["error"] == "IllegalTransition"
 
 
+def test_lifecycle_endpoint_does_not_revoke(served):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    pid = admin.provision(provision_document(secrets.token_bytes(32)))["profile_id"]
+    status, body, _ = admin.request(
+        "POST",
+        "/admin/lifecycle",
+        {"profile_id": pid, "action": "revoke"},
+        {"X-Admin-Secret": ADMIN_SECRET},
+    )
+    assert status == 400
+    assert body["error"] == "MalformedRequest"
+    assert admin.status(pid)["state"] == "Active"
+
+
 def test_policy_update_over_wire(served):
     stack, server = served
     admin = AdminClient(server.base_url, ADMIN_SECRET)

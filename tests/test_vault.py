@@ -3,6 +3,7 @@
 import json
 import secrets
 import threading
+import time
 
 import pytest
 
@@ -194,6 +195,43 @@ def test_sqn_monotonic_across_interleavings(vault):
         t.join()
     assert vault.get_profile_status("p-1")["sqn_ms"] == max(accepted)
     assert len(accepted) == len(set(accepted))
+
+
+def test_sqn_order_under_concurrent_aka(tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    vault = SimVault(state)
+    km = MilenageKeyMaterial(k=secrets.token_bytes(16), opc=secrets.token_bytes(16))
+    vault.install_profile(make_profile(km=km))
+    vault.set_profile_state("p-1", ProfileState.ACTIVE)
+    vectors = [
+        (generate_auth_vector(km, rand := secrets.token_bytes(16), sqn, b"\x80\x00"), rand)
+        for sqn in range(1, 121)
+    ]
+    append = vault._log.append
+
+    def slow_append(record):
+        time.sleep(0.0005)  # widens the gap between the SQN check and its write
+        append(record)
+
+    monkeypatch.setattr(vault._log, "append", slow_append)
+
+    def worker(chunk):
+        for vector, rand in chunk:
+            vault.usim_authenticate("p-1", rand, vector.autn)
+
+    threads = [threading.Thread(target=worker, args=(vectors[i::6],)) for i in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    vault.close()
+    _, frames = read_frames(state / "vault.log")
+    written = [r["sqn_ms"] for r in map(json.loads, frames) if r["type"] == "sqn"]
+    assert written
+    assert all(a < b for a, b in zip(written, written[1:]))
+    reopened = SimVault(state)
+    assert reopened.get_profile_status("p-1")["sqn_ms"] == max(written)
+    reopened.close()
 
 
 def test_persistence_across_restart(tmp_path):
