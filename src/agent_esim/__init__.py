@@ -26,7 +26,7 @@ from .attestation import (
 from .audit import AuditLog, AuditOperation, AuditRecord, verify_audit_chain, verify_audit_file
 from .client import AdminClient, GatewayClient
 from .config import ServiceConfig, load_config
-from .gateway import IdentityGateway, ProvisionRequest
+from .gateway import IdentityGateway
 from .httpapi import GatewayHTTPServer
 from .milenage import (
     AuthVector,

@@ -45,7 +45,6 @@ from .errors import (
     AgentEsimError,
     GatewayDenied,
     InvalidPolicy,
-    InvalidProfile,
     MalformedRequest,
     StorageFailure,
     VaultError,
@@ -81,31 +80,6 @@ class _Gate:
 
     lock: threading.RLock = field(default_factory=threading.RLock)
     rate: RateState = field(default_factory=RateState)
-
-
-@dataclass(frozen=True)
-class ProvisionRequest:
-    agent_public_key: bytes
-    expected_measurements: frozenset[bytes]
-    enterprise_namespace: str
-    initial_policy: DelegationPolicy | None = None
-    manifest_digest: bytes | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "expected_measurements", frozenset(self.expected_measurements)
-        )
-        if not self.expected_measurements:
-            raise InvalidProfile(
-                "expected_measurements", "at least one measurement required"
-            )
-        for m in self.expected_measurements:
-            if len(m) != 32:
-                raise InvalidProfile(
-                    "expected_measurements", "measurements must be 32 bytes"
-                )
-        if self.manifest_digest is not None and len(self.manifest_digest) != 32:
-            raise InvalidProfile("manifest_digest", "manifest digest must be 32 bytes")
 
 
 class IdentityGateway:
@@ -252,10 +226,7 @@ class IdentityGateway:
         )
 
     def handle_status(
-        self,
-        profile_id: str,
-        attestation: AttestationToken | None = None,
-        source_address: str = "",
+        self, profile_id: str, attestation: AttestationToken | None = None
     ) -> dict:
         """Read-only; bypasses the pipeline and never spends rate budget."""
         digest = request_digest("status", profile_id, {})
@@ -277,8 +248,12 @@ class IdentityGateway:
 
     # -- admin surface ------------------------------------------------------------
 
-    def admin_provision(self, request: ProvisionRequest) -> dict:
-        policy = request.initial_policy or self.default_policy
+    def admin_provision(
+        self, binding: BindingMetadata, policy: DelegationPolicy | None = None
+    ) -> dict:
+        """Issue a profile for `binding`, bound to `policy` or else the
+        default policy; returns its ids and public signing key."""
+        policy = policy or self.default_policy
         if policy is None:
             raise InvalidPolicy("no initial policy supplied and no default configured")
         imsi, iccid = self.allocator.allocate()
@@ -288,20 +263,14 @@ class IdentityGateway:
             km = MilenageKeyMaterial(k=ki, opc=derive_opc(ki, self.operator_op))
         else:
             km = MilenageKeyMaterial(k=ki, opc=secrets.token_bytes(16))
-        binding = BindingMetadata(
-            agent_public_key=request.agent_public_key,
-            expected_measurements=request.expected_measurements,
-            enterprise_namespace=request.enterprise_namespace,
-            container_fingerprint=request.manifest_digest,
-        )
         digest = request_digest(
             "provision",
             profile_id,
             {
-                "agent_public_key": request.agent_public_key,
-                "namespace": request.enterprise_namespace.encode("utf-8"),
-                "measurements": b"".join(sorted(request.expected_measurements)),
-                "manifest": request.manifest_digest or b"",
+                "agent_public_key": binding.agent_public_key,
+                "namespace": binding.enterprise_namespace.encode("utf-8"),
+                "measurements": b"".join(sorted(binding.expected_measurements)),
+                "manifest": binding.container_fingerprint or b"",
             },
         )
 

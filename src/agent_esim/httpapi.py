@@ -75,9 +75,9 @@ from .errors import (
     VaultError,
     WireFormatError,
 )
-from .gateway import IdentityGateway, ProvisionRequest
+from .gateway import IdentityGateway
 from .policy import DelegationPolicy
-from .vault import AkaSuccess, AkaSyncFailure
+from .vault import AkaSuccess, AkaSyncFailure, BindingMetadata
 
 ATTESTATION_HEADER = "X-Attestation-Token"
 ADMIN_SECRET_HEADER = "X-Admin-Secret"
@@ -225,10 +225,13 @@ def aka_outcome_to_json(outcome) -> dict:
     return payload
 
 
-def provision_request_from_json(body: dict) -> ProvisionRequest:
+def provision_request_from_json(body: dict) -> tuple[BindingMetadata, DelegationPolicy | None]:
+    """The binding and the optional initial policy of a provisioning
+    document. This checks the document's shape (a list, hex, strings);
+    `BindingMetadata` checks the binding itself."""
     measurements = body.get("expected_measurements")
-    if not isinstance(measurements, list) or not measurements:
-        raise InvalidProfile("expected_measurements", "at least one measurement required")
+    if not isinstance(measurements, list):
+        raise InvalidProfile("expected_measurements", "expected_measurements must be a list")
     try:
         parsed = frozenset(bytes.fromhex(m) for m in measurements)
     except (TypeError, ValueError) as err:
@@ -238,14 +241,14 @@ def provision_request_from_json(body: dict) -> ProvisionRequest:
         policy = DelegationPolicy.from_json(body["initial_policy"])
     manifest = None
     if body.get("manifest_digest"):
-        manifest = _hex_field(body, "manifest_digest", 32)
-    return ProvisionRequest(
+        manifest = _hex_field(body, "manifest_digest")
+    binding = BindingMetadata(
         agent_public_key=_hex_field(body, "agent_public_key"),
         expected_measurements=parsed,
         enterprise_namespace=_str_field(body, "enterprise_namespace"),
-        initial_policy=policy,
-        manifest_digest=manifest,
+        container_fingerprint=manifest,
     )
+    return binding, policy
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -370,12 +373,13 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send(status, payload)
 
     def _dispatch(self, handler) -> None:
+        """Send the endpoint's payload with 200, or its failure as an error."""
         try:
-            status, payload, headers = handler()
+            payload = handler()
         except Exception as err:  # every failure maps to a JSON error response
             self._send_error(err)
             return
-        self._send(status, payload, headers)
+        self._send(200, payload)
 
     # -- endpoint bodies -----------------------------------------------------------
 
@@ -384,13 +388,12 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _post_sign(self):
         body = self._body()
-        result = self.gateway.handle_sign(
+        return self.gateway.handle_sign(
             _str_field(body, "profile_id"),
             _hex_field(body, "payload_digest", 32),
             self._attestation(),
             self._source(),
         )
-        return 200, result, None
 
     def _post_authenticate(self):
         body = self._body()
@@ -401,18 +404,16 @@ class _Handler(socketserver.StreamRequestHandler):
             self._attestation(),
             self._source(),
         )
-        return 200, aka_outcome_to_json(outcome), None
+        return aka_outcome_to_json(outcome)
 
     def _get_status(self, profile_id: str):
         if not profile_id:
             raise MalformedRequest("missing profile id in path")
-        status = self.gateway.handle_status(profile_id, self._attestation(), self._source())
-        return 200, status, None
+        return self.gateway.handle_status(profile_id, self._attestation())
 
     def _post_provision(self):
         self._require_admin()
-        request = provision_request_from_json(self._body())
-        return 200, self.gateway.admin_provision(request), None
+        return self.gateway.admin_provision(*provision_request_from_json(self._body()))
 
     def _post_revoke(self):
         self._require_admin()
@@ -420,28 +421,25 @@ class _Handler(socketserver.StreamRequestHandler):
         previous = self.gateway.revoke_profile(
             _str_field(body, "profile_id"), body.get("reason") or "unspecified"
         )
-        return 200, {"previous_state": previous.value, "state": "Revoked"}, None
+        return {"previous_state": previous.value, "state": "Revoked"}
 
     def _post_lifecycle(self):
         self._require_admin()
         body = self._body()
-        result = self.gateway.lifecycle(
-            _str_field(body, "profile_id"), _str_field(body, "action")
-        )
-        return 200, result, None
+        return self.gateway.lifecycle(_str_field(body, "profile_id"), _str_field(body, "action"))
 
     def _post_policy(self):
         self._require_admin()
         body = self._body()
         policy = DelegationPolicy.from_json(body.get("policy") or {})
         previous = self.gateway.update_policy(_str_field(body, "profile_id"), policy)
-        return 200, {"previous_policy_id": previous, "policy_id": policy.policy_id}, None
+        return {"previous_policy_id": previous, "policy_id": policy.policy_id}
 
     def _get_audit_verify(self):
-        return 200, self.gateway.verify_audit().to_json(), None
+        return self.gateway.verify_audit().to_json()
 
     def _get_health(self):
-        return 200, {"ok": True}, None
+        return {"ok": True}
 
 
 class _ConnectionServer(socketserver.ThreadingTCPServer):

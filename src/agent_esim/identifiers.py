@@ -2,20 +2,21 @@
 
 Identifiers are format-valid without registry coordination: a configured
 MCC+MNC prefix plus a zero-padded sequential serial for the IMSI, and a
-Luhn-checked 19-digit ICCID sharing the same serial. The allocator keeps
-its counter in the state directory so identifiers stay unique across
-restarts.
+Luhn-checked 19-digit ICCID sharing the same serial. The allocator stores
+nothing: the vault keeps every identifier it has installed, revoked
+profiles' included, so the next serial is one whose IMSI and ICCID the
+vault does not hold, and identifiers stay unique across restarts.
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InvalidProfile
-from .recordlog import RecordLog
 
-ALLOC_HEADER = "AESIM-ALLOC/1"
+if TYPE_CHECKING:
+    from .vault import SimVault
 
 DEFAULT_IMSI_PREFIX = "00101"   # test network MCC 001 / MNC 01
 DEFAULT_ICCID_PREFIX = "890101"
@@ -53,15 +54,14 @@ def validate_iccid(iccid: str) -> None:
 
 
 class IdentifierAllocator:
-    """Sequential, persistent IMSI/ICCID source for one operator."""
+    """Sequential IMSI/ICCID source for one operator, over its vault."""
 
     def __init__(
         self,
-        state_dir: str | Path,
+        vault: SimVault,
         *,
         imsi_prefix: str = DEFAULT_IMSI_PREFIX,
         iccid_prefix: str = DEFAULT_ICCID_PREFIX,
-        sync: bool = True,
     ):
         if not (imsi_prefix.isdigit() and 5 <= len(imsi_prefix) <= 6):
             raise InvalidProfile("imsi_prefix", "imsi prefix must be 5-6 digits")
@@ -69,32 +69,23 @@ class IdentifierAllocator:
             raise InvalidProfile("iccid_prefix", "iccid prefix must be 2-12 digits")
         self.imsi_prefix = imsi_prefix
         self.iccid_prefix = iccid_prefix
+        self._vault = vault
         self._lock = threading.Lock()
-        self._next = 1
-        self._log = RecordLog(
-            Path(state_dir) / "alloc.log", ALLOC_HEADER, self._apply,
-            sync=sync, snapshot=self._snapshot,
-        )
-
-    def _apply(self, rec: dict) -> None:
-        self._next = max(self._next, int(rec["serial"]) + 1)
-
-    def _snapshot(self):
-        """The last serial handed out."""
-        yield {"serial": self._next - 1}
+        self._next = len(vault.profile_ids()) + 1
 
     def allocate(self) -> tuple[str, str]:
-        """Return a fresh (imsi, iccid) pair."""
+        """Return a fresh (imsi, iccid) pair: the next serial whose IMSI
+        and ICCID the vault holds neither of. A serial is never handed out
+        twice by one allocator, even if its install then fails."""
         with self._lock:
-            serial = self._next
-            self._log.append({"serial": serial})
-        msin = str(serial).zfill(15 - len(self.imsi_prefix))
-        imsi = self.imsi_prefix + msin
-        body = self.iccid_prefix + str(serial).zfill(18 - len(self.iccid_prefix))
-        iccid = body + luhn_check_digit(body)
+            while True:
+                serial = self._next
+                self._next += 1
+                imsi = self.imsi_prefix + str(serial).zfill(15 - len(self.imsi_prefix))
+                body = self.iccid_prefix + str(serial).zfill(18 - len(self.iccid_prefix))
+                iccid = body + luhn_check_digit(body)
+                if not self._vault.holds_identifier(imsi, iccid):
+                    break
         validate_imsi(imsi)
         validate_iccid(iccid)
         return imsi, iccid
-
-    def close(self) -> None:
-        self._log.close()

@@ -1,8 +1,8 @@
 """Append-only, length-delimited JSON record files.
 
-All persisted state (vault, network core, policies, audit trail,
-identifier allocator) sits on this substrate: a one-line version header
-followed by framed records, each 4-byte big-endian length + UTF-8 JSON.
+All persisted state (vault, network core, policies, audit trail) sits on
+this substrate: a one-line version header followed by framed records, each
+4-byte big-endian length + UTF-8 JSON.
 
 Each store changes its durable state in one place, the `apply` callback
 it hands to its log. `append` writes a record and (by default) fsyncs it,

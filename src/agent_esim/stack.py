@@ -56,7 +56,6 @@ class ServiceStack:
         self.netcore.close()
         self.policies.close()
         self.audit.close()
-        self.allocator.close()
 
 
 def build_stack(
@@ -82,10 +81,7 @@ def build_stack(
     for root_id, public_key in config.attestation_roots:
         roots.register(root_id, public_key)
     allocator = IdentifierAllocator(
-        state_dir,
-        imsi_prefix=config.imsi_prefix,
-        iccid_prefix=config.iccid_prefix,
-        sync=sync,
+        vault, imsi_prefix=config.imsi_prefix, iccid_prefix=config.iccid_prefix
     )
     gateway = IdentityGateway(
         vault,

@@ -103,9 +103,14 @@ class BindingMetadata:
     container_fingerprint: bytes | None = None
 
     def __post_init__(self):
+        """The one check of a binding, wherever it comes from."""
         object.__setattr__(
             self, "expected_measurements", frozenset(self.expected_measurements)
         )
+        if not self.expected_measurements:
+            raise InvalidProfile(
+                "binding.expected_measurements", "at least one measurement required"
+            )
         for m in self.expected_measurements:
             if len(m) != 32:
                 raise InvalidProfile("binding.expected_measurements", "measurements must be 32 bytes")
@@ -226,10 +231,6 @@ class SimVault:
         validate_iccid(profile.iccid)
         if not profile.profile_id:
             raise InvalidProfile("profile_id", "profile_id must be non-empty")
-        if not profile.binding.expected_measurements:
-            raise InvalidProfile(
-                "binding.expected_measurements", "at least one measurement required"
-            )
         with self._lock:
             if profile.profile_id in self._profiles:
                 raise DuplicateProfile(f"profile_id already installed: {profile.profile_id}")
@@ -294,6 +295,11 @@ class SimVault:
             "binding": profile.binding.summary(),
             "public_signing_key": profile.public_signing_key().hex(),
         }
+
+    def holds_identifier(self, imsi: str, iccid: str) -> bool:
+        """Whether an installed profile, revoked ones included, holds `imsi`
+        or `iccid`: the identifier allocator's one record of what it issued."""
+        return imsi in self._by_imsi or iccid in self._iccids
 
     def key_material_for(self, imsi: str) -> MilenageKeyMaterial | None:
         """Ki and OPc of the profile holding `imsi`, or None: the network

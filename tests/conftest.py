@@ -14,9 +14,9 @@ import pytest
 
 from agent_esim.attestation import SoftwareRootOfTrust
 from agent_esim.config import ServiceConfig
-from agent_esim.gateway import ProvisionRequest
 from agent_esim.policy import permissive_policy
 from agent_esim.stack import build_stack
+from agent_esim.vault import BindingMetadata
 
 # Subprocesses the tests start (`python -m agent_esim.cli serve`) import the
 # package from this checkout too, as pytest's own `pythonpath` setting does.
@@ -47,13 +47,12 @@ class Stack:
     def provision(self, *, measurement=None, policy=None, namespace="acme/test"):
         """Provision one agent profile; returns (result dict, measurement)."""
         measurement = measurement or secrets.token_bytes(32)
-        request = ProvisionRequest(
+        binding = BindingMetadata(
             agent_public_key=secrets.token_bytes(32),
             expected_measurements=frozenset({measurement}),
             enterprise_namespace=namespace,
-            initial_policy=policy or permissive_policy(),
         )
-        return self.gateway.admin_provision(request), measurement
+        return self.gateway.admin_provision(binding, policy or permissive_policy()), measurement
 
     def token_for(self, measurement, **kwargs):
         kwargs.setdefault("validity_seconds", 300.0)

@@ -19,7 +19,6 @@ from agent_esim.errors import (
     UnknownSubscriber,
     VaultError,
 )
-from agent_esim.gateway import ProvisionRequest
 from agent_esim.policy import (
     DelegationPolicy,
     DenyReason,
@@ -29,7 +28,13 @@ from agent_esim.policy import (
     permissive_policy,
 )
 from agent_esim.stack import build_stack
-from agent_esim.vault import AkaSuccess, AkaSyncFailure, ProfileState, verify_profile_signature
+from agent_esim.vault import (
+    AkaSuccess,
+    AkaSyncFailure,
+    BindingMetadata,
+    ProfileState,
+    verify_profile_signature,
+)
 
 from tests.conftest import digest_of
 
@@ -497,16 +502,15 @@ def test_malformed_inputs_rejected(stack):
 
 def test_provision_rejects_empty_measurements(stack):
     with pytest.raises(InvalidProfile):
-        ProvisionRequest(
+        BindingMetadata(
             agent_public_key=bytes(32),
             expected_measurements=frozenset(),
             enterprise_namespace="acme",
-            initial_policy=permissive_policy(),
         )
 
 
-def request_without_policy():
-    return ProvisionRequest(
+def a_binding():
+    return BindingMetadata(
         agent_public_key=secrets.token_bytes(32),
         expected_measurements=frozenset({secrets.token_bytes(32)}),
         enterprise_namespace="acme/test",
@@ -515,7 +519,7 @@ def request_without_policy():
 
 def test_provision_without_a_policy_binds_the_default(stack):
     stack.gateway.default_policy = permissive_policy(policy_id="fallback")
-    profile_id = stack.gateway.admin_provision(request_without_policy())["profile_id"]
+    profile_id = stack.gateway.admin_provision(a_binding())["profile_id"]
     assert stack.policies.get(profile_id).policy_id == "fallback"
     assert stack.gateway.handle_status(profile_id)["policy"]["policy_id"] == "fallback"
 
@@ -523,7 +527,7 @@ def test_provision_without_a_policy_binds_the_default(stack):
 def test_provision_without_any_policy_is_refused(stack):
     assert stack.gateway.default_policy is None
     with pytest.raises(InvalidPolicy):
-        stack.gateway.admin_provision(request_without_policy())
+        stack.gateway.admin_provision(a_binding())
     assert stack.vault.profile_ids() == []
 
 

@@ -5,7 +5,7 @@ import secrets
 
 import pytest
 
-from agent_esim.audit import verify_audit_file
+from agent_esim.audit import AuditOperation, verify_audit_file
 from agent_esim.client import AdminClient, GatewayClient
 from agent_esim.errors import (
     AdminAuthFailure,
@@ -14,7 +14,7 @@ from agent_esim.errors import (
 )
 from agent_esim.httpapi import GatewayHTTPServer
 from agent_esim.policy import permissive_policy
-from agent_esim.wire import scan_for_secrets
+from agent_esim.wire import request_digest, scan_for_secrets
 
 from tests.conftest import Stack, digest_of
 
@@ -111,6 +111,53 @@ def test_rate_limit_denial_carries_retry_after(served):
     assert status == 403
     assert body["reason"] == "RateLimit"
     assert body["retry_after"] >= 1
+
+
+@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no-manifest"])
+def test_provision_digest_is_computed_from_the_wire_document(served, manifest):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    document = provision_document(secrets.token_bytes(32))
+    document["expected_measurements"].append(secrets.token_bytes(32).hex())
+    if manifest:
+        document["manifest_digest"] = secrets.token_bytes(32).hex()
+    profile_id = admin.provision(document)["profile_id"]
+    expected = request_digest(
+        "provision",
+        profile_id,
+        {
+            "agent_public_key": bytes.fromhex(document["agent_public_key"]),
+            "namespace": document["enterprise_namespace"].encode("utf-8"),
+            "measurements": b"".join(
+                sorted(bytes.fromhex(m) for m in document["expected_measurements"])
+            ),
+            "manifest": bytes.fromhex(document.get("manifest_digest", "")),
+        },
+    )
+    (record,) = [r for r in stack.audit.records() if r.profile_id == profile_id]
+    assert record.operation is AuditOperation.PROVISION
+    assert record.request_digest == expected
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"expected_measurements": []}, "binding.expected_measurements"),
+        ({"expected_measurements": ["ab" * 31]}, "binding.expected_measurements"),
+        ({"expected_measurements": "ab" * 32}, "expected_measurements"),
+        ({"manifest_digest": "cd" * 31}, "binding.container_fingerprint"),
+    ],
+    ids=["no-measurement", "short-measurement", "not-a-list", "short-manifest"],
+)
+def test_provision_binding_errors_map_to_400(served, change, field):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    document = {**provision_document(secrets.token_bytes(32)), **change}
+    status, body, _ = admin.request(
+        "POST", "/admin/provision", document, {"X-Admin-Secret": ADMIN_SECRET}
+    )
+    assert (status, body["error"], body["field"]) == (400, "InvalidProfile", field)
+    assert stack.vault.profile_ids() == []
 
 
 def test_unknown_profile_maps_to_404(served):

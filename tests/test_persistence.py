@@ -56,12 +56,6 @@ def _policies(path):
     return store
 
 
-def _allocator(path):
-    allocator = IdentifierAllocator(path)
-    allocator.allocate()
-    return allocator
-
-
 def _audit(path):
     log = AuditLog(path)
     log.append("p-1", AuditOperation.SIGN, AuditOutcome.allowed(), bytes(32))
@@ -78,11 +72,17 @@ def _reopen(store, path):
     return NetworkCore(path, KEYS) if isinstance(store, NetworkCore) else type(store)(path)
 
 
+def _vault_state(vault):
+    """The profiles, and the identifiers an allocator opened on them issues
+    next: the vault is the allocator's only record."""
+    statuses = [vault.get_profile_status(pid) for pid in vault.profile_ids()]
+    return statuses, IdentifierAllocator(vault).allocate()
+
+
 OBSERVE = {
-    SimVault: lambda v: [v.get_profile_status(pid) for pid in v.profile_ids()],
+    SimVault: _vault_state,
     NetworkCore: _netcore_state,
     PolicyStore: lambda p: p.get("p-1"),
-    IdentifierAllocator: lambda a: a._next,
     AuditLog: lambda a: (a._seq, a._last_hash),
 }
 
@@ -100,7 +100,10 @@ WRITES = {
     "netcore-confirm": (_core, lambda c: c.confirm_res(next(iter(c._pending)), bytes(8))),
     "netcore-resync": (_core, lambda c: c.resynchronize(IMSI, RAND, build_auts(KM, RAND, 7))),
     "policy-set": (_policies, lambda p: p.set("p-1", permissive_policy(policy_id="new"))),
-    "allocate": (_allocator, lambda a: a.allocate()),
+    "allocate": (
+        _vault,
+        lambda v: v.install_profile(make_profile("p-2", *IdentifierAllocator(v).allocate())),
+    ),
     "audit-append": (
         _audit,
         lambda a: a.append("p-1", AuditOperation.SIGN, AuditOutcome.allowed(), bytes(32)),
@@ -150,7 +153,7 @@ def _snapshot(stack) -> dict:
         "sqn_he": dict(stack.netcore._sqn_he),
         "pending": sorted(stack.netcore._pending),
         "policies": {pid: stack.policies.get(pid).policy_id for pid in vault},
-        "next_serial": stack.allocator._next,
+        "next_identifiers": stack.allocator.allocate(),
         "audit": (stack.audit._seq, stack.audit._last_hash),
     }
 
@@ -281,9 +284,10 @@ def test_restart_rebuilds_live_state_after_compactions(tmp_path, monkeypatch):
     monkeypatch.setattr(recordlog.RecordLog, "_compact", counted)
     stack, clock = _drive_deck(tmp_path / "state", rounds=16)
     assert min(
-        compactions[name] for name in ("vault.log", "netcore.log", "policies.log", "alloc.log")
+        compactions[name] for name in ("vault.log", "netcore.log", "policies.log")
     ) >= 3, compactions
     assert compactions["audit.log"] == 0
+    assert not (stack.state_dir / "alloc.log").exists()
     assert not list(stack.state_dir.glob("*" + recordlog.COMPACT_SUFFIX))
     _assert_restart_rebuilds(stack, clock)
 
@@ -480,9 +484,132 @@ def test_unsynced_stack_provisions_without_fsync(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_synced_provision_fsyncs_three_logs(tmp_path, monkeypatch):
+    stack = Stack(tmp_path / "state")
+    fsync, synced = recordlog.os.fsync, []
+
+    def counted(fd):
+        synced.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(recordlog.os, "fsync", counted)
+    stack.provision()  # the policy binding, the vault install, the audit record
+    assert len(synced) == 3
+    stack.close()
+    assert sorted(path.name for path in stack.state_dir.glob("*.log")) == [
+        "audit.log", "netcore.log", "policies.log", "vault.log"
+    ]
+
+
+def test_concurrent_provisions_get_distinct_identifiers(tmp_path):
+    stack = Stack(tmp_path / "state", sync=False)
+    created = []
+    threads, rounds = 6, 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def work():
+            for _ in range(rounds):
+                created.append(stack.provision()[0])
+
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(created) == threads * rounds
+    assert len({c["imsi"] for c in created}) == threads * rounds
+    assert len({c["iccid"] for c in created}) == threads * rounds
+    assert len(stack.vault.profile_ids()) == threads * rounds
+    stack.close()
+
+
+def _held_identifiers(stack) -> tuple[set, set]:
+    statuses = [stack.vault.get_profile_status(pid) for pid in stack.vault.profile_ids()]
+    return {s["imsi"] for s in statuses}, {s["iccid"] for s in statuses}
+
+
+def _restarted(state_dir, stack):
+    stack.close()
+    return Stack(state_dir, sync=False)
+
+
+def _after_restart(state_dir, _monkeypatch):
+    stack = Stack(state_dir, sync=False)
+    for _ in range(3):
+        pid = stack.provision()[0]["profile_id"]
+    stack.gateway.revoke_profile(pid, "test")  # a revoked profile keeps its identifiers
+    return _restarted(state_dir, stack)
+
+
+def _beside_a_leftover_alloc_log(state_dir, _monkeypatch):
+    """A directory as an older version left it: its `alloc.log` names the
+    last serial it handed out, here one that profiles already hold."""
+    stack = Stack(state_dir, sync=False)
+    stack.provision()
+    stack.provision()
+    old = recordlog.RecordLog(state_dir / "alloc.log", "AESIM-ALLOC/1", lambda rec: None)
+    old.append({"serial": 1})
+    old.close()
+    return _restarted(state_dir, stack)
+
+
+def _after_a_failed_install(state_dir, monkeypatch):
+    stack = Stack(state_dir, sync=False)
+    stack.provision()
+    append = stack.vault._log.append
+
+    def failing_install(record):
+        if record["type"] == "install":
+            raise StorageFailure("injected install failure")
+        append(record)
+
+    monkeypatch.setattr(stack.vault._log, "append", failing_install)
+    with pytest.raises(StorageFailure):
+        stack.provision()  # burns the serial it was given
+    monkeypatch.setattr(stack.vault._log, "append", append)
+    return stack
+
+
+def _beside_a_direct_install(state_dir, _monkeypatch):
+    """A profile installed straight into the vault holds the IMSI of the
+    serial the allocator would hand out next."""
+    stack = Stack(state_dir, sync=False)
+    stack.provision()
+    imsi = stack.allocator.imsi_prefix + "2".zfill(15 - len(stack.allocator.imsi_prefix))
+    stack.vault.install_profile(make_profile("direct", imsi))
+    return stack
+
+
+@pytest.mark.parametrize(
+    "make_stack",
+    [_after_restart, _beside_a_leftover_alloc_log, _after_a_failed_install, _beside_a_direct_install],
+    ids=["restart", "leftover-alloc-log", "failed-install", "direct-install"],
+)
+def test_next_provision_gets_identifiers_no_profile_holds(tmp_path, monkeypatch, make_stack):
+    state_dir = tmp_path / "state"
+    stack = make_stack(state_dir, monkeypatch)
+    leftover = (state_dir / "alloc.log").read_bytes() if (state_dir / "alloc.log").exists() else None
+    held_imsis, held_iccids = _held_identifiers(stack)
+    for _ in range(2):
+        created = stack.provision()[0]  # a reused identifier raises DuplicateProfile
+        assert created["imsi"] not in held_imsis and created["iccid"] not in held_iccids
+        held_imsis.add(created["imsi"])
+        held_iccids.add(created["iccid"])
+    stack.close()
+    if leftover is not None:
+        assert (state_dir / "alloc.log").read_bytes() == leftover  # ignored, not read or written
+
+
 def test_concurrent_writes_apply_every_record(tmp_path):
     core = NetworkCore(tmp_path / "state", KEYS, sync=False)
-    allocator = IdentifierAllocator(tmp_path / "state")
+    vault = SimVault(tmp_path / "state", sync=False)
+    allocator = IdentifierAllocator(vault)
+    allocated = []
     threads, rounds = 6, 40
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -493,7 +620,7 @@ def test_concurrent_writes_apply_every_record(tmp_path):
                 challenge = core.generate_challenge(IMSI)
                 if i % 2:
                     core.confirm_res(challenge["challenge_id"], bytes(8))
-                allocator.allocate()
+                allocated.append(allocator.allocate())
 
         workers = [threading.Thread(target=work) for _ in range(threads)]
         for worker in workers:
@@ -506,8 +633,10 @@ def test_concurrent_writes_apply_every_record(tmp_path):
     assert core.subscriber_sqn(IMSI) == threads * rounds
     assert core.pending_count() == threads * rounds // 2
     assert allocator._next == threads * rounds + 1
+    assert len({imsi for imsi, _ in allocated}) == threads * rounds
+    assert len({iccid for _, iccid in allocated}) == threads * rounds
     core.close()
-    allocator.close()
+    vault.close()
     reopened = NetworkCore(tmp_path / "state", KEYS)
     assert reopened.subscriber_sqn(IMSI) == threads * rounds
     assert reopened.pending_count() == threads * rounds // 2

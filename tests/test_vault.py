@@ -28,6 +28,8 @@ from agent_esim.vault import (
     verify_profile_signature,
 )
 
+from tests.conftest import Stack
+
 
 def make_binding(measurement=None):
     return BindingMetadata(
@@ -301,11 +303,11 @@ def test_state_gate_has_no_side_effects(vault):
     assert vault.get_profile_status("p-1")["sqn_ms"] == 0
 
 
-def test_allocator_uniqueness_and_formats(tmp_path):
-    allocator = IdentifierAllocator(tmp_path / "state")
-    seen = set()
+def test_allocator_uniqueness_and_formats(vault, tmp_path):
     from agent_esim.identifiers import luhn_valid
 
+    allocator = IdentifierAllocator(vault)
+    seen = set()
     for _ in range(50):
         imsi, iccid = allocator.allocate()
         assert len(imsi) == 15 and imsi.isdigit()
@@ -313,9 +315,10 @@ def test_allocator_uniqueness_and_formats(tmp_path):
         assert len(iccid) == 19 and luhn_valid(iccid)
         assert (imsi, iccid) not in seen
         seen.add((imsi, iccid))
-    allocator.close()
-    # counter survives restart
-    reopened = IdentifierAllocator(tmp_path / "state")
-    imsi, _ = reopened.allocate()
-    assert all(imsi != prev for prev, _ in seen)
+    # unique across a restart: the stack's vault holds what was issued
+    stack = Stack(tmp_path / "stack", sync=False)
+    issued = {stack.provision()[0]["imsi"] for _ in range(3)}
+    stack.close()
+    reopened = Stack(tmp_path / "stack", sync=False)
+    assert reopened.provision()[0]["imsi"] not in issued
     reopened.close()
