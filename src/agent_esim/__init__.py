@@ -19,7 +19,6 @@ from .agent import (
 from .attestation import (
     AttestationFailure,
     AttestationToken,
-    RootRegistry,
     SoftwareRootOfTrust,
     verify_attestation,
 )
@@ -43,7 +42,6 @@ from .netcore import NetworkCore, PendingChallenge
 from .policy import (
     DelegationPolicy,
     DenyReason,
-    GatewayDecision,
     GatewayOp,
     RateLimit,
     Validity,

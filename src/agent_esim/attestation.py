@@ -2,9 +2,10 @@
 
 A token claims that code with a given measurement runs in a given
 environment during a validity window, and is signed by a root of trust
-registered with the gateway. Roots here are Ed25519 software keypairs
-standing in for hardware vendors; the verification logic is the same as
-it would be against hardware-backed reports.
+registered with the gateway: the verifiers take the roots as a plain
+mapping of root id to 32-byte Ed25519 public key. Roots here are Ed25519
+software keypairs standing in for hardware vendors; the verification logic
+is the same as it would be against hardware-backed reports.
 
 Check order is fixed: registered root, signature, validity window
 (expired before not-yet-valid), then measurement against the profile
@@ -164,24 +165,8 @@ class SoftwareRootOfTrust:
         )
 
 
-class RootRegistry:
-    """root_id -> verification key, configured at gateway setup."""
-
-    def __init__(self, roots: Mapping[str, bytes] | None = None):
-        self._roots: dict[str, bytes] = dict(roots or {})
-
-    def register(self, root_id: str, public_key: bytes) -> None:
-        self._roots[root_id] = bytes(public_key)
-
-    def get(self, root_id: str) -> bytes | None:
-        return self._roots.get(root_id)
-
-    def __contains__(self, root_id: str) -> bool:
-        return root_id in self._roots
-
-
 def verify_token_integrity(
-    token: AttestationToken, roots: RootRegistry, now: float
+    token: AttestationToken, roots: Mapping[str, bytes], now: float
 ) -> AttestationFailure | None:
     """Root, signature, and window checks (everything except measurement)."""
     key = roots.get(token.root_id)
@@ -205,7 +190,7 @@ def verify_attestation(
     binding,
     now: float,
     *,
-    roots: RootRegistry,
+    roots: Mapping[str, bytes],
     measurement_allowlist: Collection[bytes] = frozenset(),
 ) -> AttestationFailure | None:
     """Full verification; returns the first failing check or None when ok."""

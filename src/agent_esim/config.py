@@ -7,7 +7,8 @@ Documented keys (unknown keys are rejected by name):
     state_dir            directory holding every persisted log
     admin_secret         shared admin credential (the AGENT_ESIM_ADMIN_SECRET
                          environment variable overrides it)
-    attestation_roots    [{"root_id": ..., "public_key": <hex>}, ...]
+    attestation_roots    [{"root_id": ..., "public_key": <hex>}, ...]; each key
+                         is a 32-byte Ed25519 public key
     default_policy       policy document applied when provisioning omits one
     imsi_prefix          5-6 digit MCC+MNC prefix for allocated IMSIs
     iccid_prefix         issuer prefix for allocated ICCIDs
@@ -113,11 +114,12 @@ def config_from_dict(document: dict, *, base_dir: Path | None = None) -> Service
         raise ConfigError("config key attestation_roots must be a list")
     for entry in roots:
         try:
-            config.attestation_roots.append(
-                (str(entry["root_id"]), bytes.fromhex(entry["public_key"]))
-            )
+            root_id, public_key = str(entry["root_id"]), bytes.fromhex(entry["public_key"])
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"config key attestation_roots has a bad entry: {err}") from err
+        if len(public_key) != 32:
+            raise ConfigError(f"attestation root {root_id!r}: public_key must be 32 bytes of hex")
+        config.attestation_roots.append((root_id, public_key))
 
     if document.get("default_policy") is not None:
         config.default_policy = DelegationPolicy.from_json(document["default_policy"])

@@ -4,8 +4,8 @@ Every identity operation runs a fixed decision pipeline under a
 per-profile mutex:
 
     1. ProfileState      profile exists and is Active
-    2. Attestation       token present, root registered, signature valid,
-                         inside validity window
+    2. Attestation       token present, its root id in the gateway's roots
+                         mapping, signature valid, inside validity window
     3. PolicyValidity    now within the policy's validity window
     4. OpPermission      operation allowed by the policy
     5. CidrScope         source address inside the allowlist (empty = any)
@@ -13,13 +13,15 @@ per-profile mutex:
                          the policy pins measurements, listed there
     7. RateLimit         sliding-window budget; only spent when 1-6 passed
 
-The first failing check is the deny reason. One helper, `_audited`, maps
-the outcome of every identity and admin operation to exactly one audit
-record — allow, deny, or error — appended before the response is
-released; if the append fails the request fails closed. An unexpected
-failure is audited as `VaultError` and answers 503. Status is read-only:
-it bypasses the pipeline and is exempt from rate limiting, but like every
-other operation it runs and is audited under the profile's mutex.
+The first failing check is the deny reason: the pipeline raises
+`GatewayDenied` there (`enforce_policy` raises it for checks 3-7). One
+helper, `_audited`, maps the outcome of every identity and admin operation
+to exactly one audit record — allow, deny, or error — appended before the
+response is released; if the append fails the request fails closed. An
+unexpected failure is audited as `VaultError` and answers 503. Status is
+read-only: it bypasses the pipeline and is exempt from rate limiting, but
+like every other operation it runs and is audited under the profile's
+mutex.
 
 `_audited` takes that mutex for every operation, revocation and policy
 updates included, so rate-limit exactness holds under concurrency and no
@@ -37,9 +39,9 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
-from .attestation import AttestationToken, RootRegistry, verify_token_integrity
+from .attestation import AttestationToken, verify_token_integrity
 from .audit import AuditLog, AuditOperation, AuditOutcome, ChainStatus
 from .errors import (
     AgentEsimError,
@@ -88,7 +90,7 @@ class IdentityGateway:
         vault: SimVault,
         policy_store: PolicyStore,
         audit_log: AuditLog,
-        roots: RootRegistry,
+        roots: Mapping[str, bytes],
         *,
         allocator: IdentifierAllocator,
         default_policy: DelegationPolicy | None = None,
@@ -166,18 +168,15 @@ class IdentityGateway:
             attestation, self.roots, now
         ) is not None:
             raise GatewayDenied(DenyReason.ATTESTATION)
-        binding = self.vault.get_binding(profile_id)
-        decision = enforce_policy(
+        enforce_policy(
             self.policies.get(profile_id),
             op,
             source_address,
             now,
             rate,
             measurement=attestation.measurement,
-            binding_measurements=binding.expected_measurements,
+            binding_measurements=self.vault.get_binding(profile_id).expected_measurements,
         )
-        if not decision.allowed:
-            raise GatewayDenied(decision.reason, retry_after=decision.retry_after)
 
     # -- identity endpoints ------------------------------------------------------
 

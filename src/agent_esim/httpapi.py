@@ -16,7 +16,9 @@ desk-scale stand-in for a mutually authenticated channel):
     POST /admin/policy             {profile_id, policy}
     GET  /admin/audit/verify
 
-Binary fields are lowercase hex on the wire. Status mapping: allow 200,
+Binary fields are lowercase hex on the wire. A profile id, in a body or
+in the status path, has at most MAX_PROFILE_ID_CHARS characters; a longer
+one gets 400 and writes no audit record. Status mapping: allow 200,
 denied 403 (+ Retry-After on rate-limit denials), unknown profile 404,
 invalid input 400, duplicate/illegal transition 409, missing or wrong
 admin secret 401, storage or vault failure 503.
@@ -91,6 +93,8 @@ MAX_BODY_BYTES = 1 << 20
 # Longest start line or header line, and most header lines, in a message head.
 MAX_LINE_BYTES = 8192
 MAX_HEADERS = 64
+# Longest profile id a request may name; issued ids have 17 characters.
+MAX_PROFILE_ID_CHARS = 64
 
 SERVER_NAME = "agent-esim/0.1"
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
@@ -213,6 +217,12 @@ def _str_field(body: dict, name: str) -> str:
     value = body.get(name)
     if not isinstance(value, str) or not value:
         raise MalformedRequest(f"missing or empty field: {name}")
+    return value
+
+
+def _profile_id(value) -> str:
+    if not isinstance(value, str) or not 0 < len(value) <= MAX_PROFILE_ID_CHARS:
+        raise MalformedRequest(f"profile_id must be 1 to {MAX_PROFILE_ID_CHARS} characters")
     return value
 
 
@@ -389,7 +399,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _post_sign(self):
         body = self._body()
         return self.gateway.handle_sign(
-            _str_field(body, "profile_id"),
+            _profile_id(body.get("profile_id")),
             _hex_field(body, "payload_digest", 32),
             self._attestation(),
             self._source(),
@@ -398,7 +408,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _post_authenticate(self):
         body = self._body()
         outcome = self.gateway.handle_authenticate(
-            _str_field(body, "profile_id"),
+            _profile_id(body.get("profile_id")),
             _hex_field(body, "rand", 16),
             _hex_field(body, "autn", 16),
             self._attestation(),
@@ -407,9 +417,7 @@ class _Handler(socketserver.StreamRequestHandler):
         return aka_outcome_to_json(outcome)
 
     def _get_status(self, profile_id: str):
-        if not profile_id:
-            raise MalformedRequest("missing profile id in path")
-        return self.gateway.handle_status(profile_id, self._attestation())
+        return self.gateway.handle_status(_profile_id(profile_id), self._attestation())
 
     def _post_provision(self):
         self._require_admin()
@@ -418,21 +426,24 @@ class _Handler(socketserver.StreamRequestHandler):
     def _post_revoke(self):
         self._require_admin()
         body = self._body()
+        reason = body.get("reason")
+        if not isinstance(reason, (str, type(None))):
+            raise MalformedRequest("field reason must be a string")
         previous = self.gateway.revoke_profile(
-            _str_field(body, "profile_id"), body.get("reason") or "unspecified"
+            _profile_id(body.get("profile_id")), reason or "unspecified"
         )
         return {"previous_state": previous.value, "state": "Revoked"}
 
     def _post_lifecycle(self):
         self._require_admin()
         body = self._body()
-        return self.gateway.lifecycle(_str_field(body, "profile_id"), _str_field(body, "action"))
+        return self.gateway.lifecycle(_profile_id(body.get("profile_id")), _str_field(body, "action"))
 
     def _post_policy(self):
         self._require_admin()
         body = self._body()
         policy = DelegationPolicy.from_json(body.get("policy") or {})
-        previous = self.gateway.update_policy(_str_field(body, "profile_id"), policy)
+        previous = self.gateway.update_policy(_profile_id(body.get("profile_id")), policy)
         return {"previous_policy_id": previous, "policy_id": policy.policy_id}
 
     def _get_audit_verify(self):

@@ -2,9 +2,12 @@
 
 A policy constrains how a profile may be used: operation allowlist,
 validity window, source-network scope, measurement pinning, and a
-sliding-window rate limit. Enforcement runs the checks in one fixed
-order; the first failing check is the deny reason, and the rate budget
-is spent only when every earlier check passed.
+sliding-window rate limit. `DelegationPolicy.__post_init__` is the one
+check of a policy: it refuses what enforcement cannot apply (a non-string
+id or prefix, a window or validity bound that is not finite).
+`enforce_policy` runs the checks in one fixed order and raises
+`GatewayDenied` at the first that fails; the rate budget is spent only
+when every earlier check passed.
 
 Rate-limit semantics: a request at time `t` is admitted when strictly
 fewer than `max_ops` prior admissions fall in [t - window, t); admissions
@@ -21,11 +24,11 @@ import math
 import threading
 import uuid
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable
 
-from .errors import InvalidPolicy, UnknownProfile
+from .errors import GatewayDenied, InvalidPolicy, StorageFailure, UnknownProfile
 from .recordlog import RecordLog
 
 POLICY_HEADER = "AESIM-POLICY/1"
@@ -68,27 +71,33 @@ class DelegationPolicy:
     cidr_allowlist: frozenset[str] = frozenset()
     measurement_allowlist: frozenset[bytes] = frozenset()
 
+    # the parsed cidr_allowlist, which enforcement reads; not compared or stored
+    networks: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
+        """The one check of a policy, wherever it comes from."""
         object.__setattr__(self, "allowed_ops", frozenset(self.allowed_ops))
         object.__setattr__(self, "cidr_allowlist", frozenset(self.cidr_allowlist))
         object.__setattr__(
             self, "measurement_allowlist", frozenset(self.measurement_allowlist)
         )
-        if not self.policy_id:  # from_json would mint a new id on every apply
-            raise InvalidPolicy("policy_id must be non-empty")
+        if not isinstance(self.policy_id, str) or not self.policy_id:
+            raise InvalidPolicy("policy_id must be a non-empty string")
         if self.rate_limit.max_ops < 0:
             raise InvalidPolicy("rate_limit.max_ops must be >= 0")
-        if self.rate_limit.window_seconds <= 0:
-            raise InvalidPolicy("rate_limit.window_seconds must be > 0")
-        if not self.validity.not_after > self.validity.not_before:
-            raise InvalidPolicy("validity.not_after must be after not_before")
+        if not 0 < self.rate_limit.window_seconds < math.inf:
+            raise InvalidPolicy("rate_limit.window_seconds must be finite and > 0")
+        if not -math.inf < self.validity.not_before < self.validity.not_after < math.inf:
+            raise InvalidPolicy("validity must be finite, with not_after after not_before")
         if not self.allowed_ops:
             raise InvalidPolicy("allowed_ops must be non-empty")
-        for prefix in self.cidr_allowlist:
-            try:
-                ipaddress.ip_network(prefix)
-            except ValueError as err:
-                raise InvalidPolicy(f"bad cidr prefix {prefix!r}: {err}") from err
+        if not all(isinstance(prefix, str) for prefix in self.cidr_allowlist):
+            raise InvalidPolicy("cidr_allowlist entries must be strings")
+        try:
+            networks = tuple(ipaddress.ip_network(p) for p in self.cidr_allowlist)
+        except ValueError as err:
+            raise InvalidPolicy(f"bad cidr prefix: {err}") from err
+        object.__setattr__(self, "networks", networks)
         for m in self.measurement_allowlist:
             if len(m) != 32:
                 raise InvalidPolicy("measurement_allowlist entries must be 32 bytes")
@@ -113,9 +122,10 @@ class DelegationPolicy:
     def from_json(cls, data: dict) -> "DelegationPolicy":
         if not isinstance(data, dict):
             raise InvalidPolicy("malformed policy document: not a JSON object")
+        policy_id = data.get("policy_id")
         try:
             return cls(
-                policy_id=data.get("policy_id") or uuid.uuid4().hex,
+                policy_id=uuid.uuid4().hex if policy_id in (None, "") else policy_id,
                 rate_limit=RateLimit(
                     max_ops=int(data["rate_limit"]["max_ops"]),
                     window_seconds=float(data["rate_limit"]["window_seconds"]),
@@ -130,9 +140,7 @@ class DelegationPolicy:
                     bytes.fromhex(m) for m in data.get("measurement_allowlist", [])
                 ),
             )
-        except InvalidPolicy:
-            raise
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise InvalidPolicy(f"malformed policy document: {err}") from err
 
 
@@ -154,21 +162,16 @@ def permissive_policy(
     )
 
 
-def cidr_match(source_address: str, prefixes: Iterable[str]) -> bool:
-    prefixes = list(prefixes)
-    if not prefixes:
+def cidr_match(source_address: str, networks: Collection) -> bool:
+    """Whether the address lies in one of `networks` (parsed prefixes, as a
+    policy's `networks`); an empty collection admits every address."""
+    if not networks:
         return True
     try:
         addr = ipaddress.ip_address(source_address)
     except ValueError:
         return False
-    for prefix in prefixes:
-        try:
-            if addr in ipaddress.ip_network(prefix):
-                return True
-        except ValueError:
-            continue
-    return False
+    return any(addr in network for network in networks)
 
 
 class RateState:
@@ -188,31 +191,17 @@ class RateState:
         self.prune(now - limit.window_seconds)
         return max(0, limit.max_ops - len(self.events))
 
-    def try_consume(self, limit: RateLimit, now: float) -> tuple[bool, float | None]:
-        """Admit-or-deny; on deny, report seconds until the budget frees."""
+    def try_consume(self, limit: RateLimit, now: float) -> float | None:
+        """Admit and return None, or deny and return the seconds until the
+        budget frees."""
         self.prune(now - limit.window_seconds)
         if len(self.events) < limit.max_ops:
             self.events.append(now)
-            return True, None
+            return None
         if limit.max_ops == 0:
-            return False, limit.window_seconds
+            return limit.window_seconds
         blocker = self.events[len(self.events) - limit.max_ops]
-        return False, max(0.0, blocker + limit.window_seconds - now)
-
-
-@dataclass(frozen=True)
-class GatewayDecision:
-    allowed: bool
-    reason: DenyReason | None = None
-    retry_after: float | None = None
-
-    @classmethod
-    def allow(cls) -> "GatewayDecision":
-        return cls(allowed=True)
-
-    @classmethod
-    def deny(cls, reason: DenyReason, retry_after: float | None = None) -> "GatewayDecision":
-        return cls(allowed=False, reason=reason, retry_after=retry_after)
+        return max(0.0, blocker + limit.window_seconds - now)
 
 
 def measurement_allowed(
@@ -232,30 +221,27 @@ def enforce_policy(
     *,
     measurement: bytes | None = None,
     binding_measurements: Collection[bytes] | None = None,
-) -> GatewayDecision:
-    """Policy-owned checks in pipeline order; total function.
+) -> None:
+    """Policy-owned checks in pipeline order; raises GatewayDenied at the
+    first that fails and returns nothing when all pass.
 
     Order: validity window, operation permission, source scope, measurement
     rule (when a measurement is supplied), then rate limit. Only a fully
     admitted request consumes rate budget.
     """
     if not (policy.validity.not_before <= now <= policy.validity.not_after):
-        return GatewayDecision.deny(DenyReason.POLICY_VALIDITY)
+        raise GatewayDenied(DenyReason.POLICY_VALIDITY)
     if op not in policy.allowed_ops:
-        return GatewayDecision.deny(DenyReason.OP_PERMISSION)
-    if not cidr_match(source_address, policy.cidr_allowlist):
-        return GatewayDecision.deny(DenyReason.CIDR_SCOPE)
+        raise GatewayDenied(DenyReason.OP_PERMISSION)
+    if not cidr_match(source_address, policy.networks):
+        raise GatewayDenied(DenyReason.CIDR_SCOPE)
     if measurement is not None and not measurement_allowed(
         measurement, binding_measurements or frozenset(), policy.measurement_allowlist
     ):
-        return GatewayDecision.deny(DenyReason.MEASUREMENT_MATCH)
-    admitted, retry_after = rate_state.try_consume(policy.rate_limit, now)
-    if not admitted:
-        return GatewayDecision.deny(
-            DenyReason.RATE_LIMIT,
-            retry_after=None if retry_after is None else math.ceil(retry_after) or 1,
-        )
-    return GatewayDecision.allow()
+        raise GatewayDenied(DenyReason.MEASUREMENT_MATCH)
+    retry_after = rate_state.try_consume(policy.rate_limit, now)
+    if retry_after is not None:
+        raise GatewayDenied(DenyReason.RATE_LIMIT, retry_after=math.ceil(retry_after) or 1)
 
 
 class PolicyStore:
@@ -264,13 +250,18 @@ class PolicyStore:
     def __init__(self, state_dir: str | Path, *, sync: bool = True):
         self._policies: dict[str, DelegationPolicy] = {}
         self._lock = threading.Lock()
+        self.path = Path(state_dir) / "policies.log"
         self._log = RecordLog(
-            Path(state_dir) / "policies.log", POLICY_HEADER, self._apply,
-            sync=sync, snapshot=self._snapshot,
+            self.path, POLICY_HEADER, self._apply, sync=sync, snapshot=self._snapshot
         )
 
     def _apply(self, rec: dict) -> None:
-        self._policies[rec["profile_id"]] = DelegationPolicy.from_json(rec["policy"])
+        """A stored policy that the check refuses stops the open: serving its
+        profile would fail every request."""
+        try:
+            self._policies[rec["profile_id"]] = DelegationPolicy.from_json(rec["policy"])
+        except InvalidPolicy as err:
+            raise StorageFailure(f"{self.path}: policy of {rec['profile_id']}: {err}") from err
 
     def _snapshot(self):
         """One binding record per profile: the current policy."""

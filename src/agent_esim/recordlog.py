@@ -303,15 +303,6 @@ def decode_records(walk: FrameWalk, header: str) -> Iterator[dict[str, Any]]:
         yield record
 
 
-def read_frames(path: str | Path) -> tuple[str, list[bytes]]:
-    """Return (header, raw record payloads). An incomplete final frame raises."""
-    with FrameWalk(path) as walk:
-        frames = list(walk)
-    if walk.end < walk.size:
-        raise StorageFailure(f"{path}: frame runs past end of file at byte {walk.end}")
-    return walk.header, frames
-
-
 def write_frames(
     path: str | Path, header: str, frames: Iterable[bytes], *, sync: bool = True
 ) -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .attestation import RootRegistry
 from .audit import AuditLog
 from .config import ServiceConfig
 from .errors import StorageFailure
@@ -41,7 +40,7 @@ class ServiceStack:
     netcore: NetworkCore
     policies: PolicyStore
     audit: AuditLog
-    roots: RootRegistry
+    roots: dict[str, bytes]
     allocator: IdentifierAllocator
     gateway: IdentityGateway
 
@@ -66,6 +65,8 @@ def build_stack(
 ) -> ServiceStack:
     state_dir = Path(config.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
+    # First: a stored policy the check refuses stops the open before any log is held.
+    policies = PolicyStore(state_dir, sync=sync)
     vault = SimVault(state_dir, sync=sync)
     netcore = NetworkCore(
         state_dir,
@@ -75,11 +76,8 @@ def build_stack(
         clock=clock,
         sync=sync,
     )
-    policies = PolicyStore(state_dir, sync=sync)
     audit = AuditLog(state_dir, sync=sync, clock=clock)
-    roots = RootRegistry()
-    for root_id, public_key in config.attestation_roots:
-        roots.register(root_id, public_key)
+    roots = dict(config.attestation_roots)
     allocator = IdentifierAllocator(
         vault, imsi_prefix=config.imsi_prefix, iccid_prefix=config.iccid_prefix
     )

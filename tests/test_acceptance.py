@@ -27,7 +27,7 @@ from agent_esim.httpapi import GatewayHTTPServer
 from agent_esim.milenage import MilenageKeyMaterial, derive_opc, milenage_compute
 from agent_esim.netcore import NetworkCore
 from agent_esim.policy import DenyReason, permissive_policy
-from agent_esim.recordlog import read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, write_frames
 from agent_esim.vault import AkaSuccess, AkaSyncFailure
 from agent_esim.wire import scan_for_secrets
 
@@ -372,7 +372,8 @@ def test_criterion_7_audit_integrity(tmp_path):
     assert status.ok and status.length == 10_000
     assert elapsed < 1.0, f"intact verification took {elapsed:.3f}s"
 
-    header, pristine = read_frames(path)
+    with FrameWalk(path) as walk:
+        header, pristine = walk.header, list(walk)
     rng = random.Random(7)
     positions = sorted({1, 2, 5000, 9999, 10_000} | {rng.randint(3, 9998) for _ in range(7)})
 

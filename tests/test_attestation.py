@@ -7,7 +7,6 @@ import pytest
 from agent_esim.attestation import (
     AttestationFailure,
     AttestationToken,
-    RootRegistry,
     SoftwareRootOfTrust,
     verify_attestation,
     verify_token_integrity,
@@ -25,9 +24,7 @@ def root():
 
 @pytest.fixture
 def roots(root):
-    registry = RootRegistry()
-    registry.register(root.root_id, root.public_key)
-    return registry
+    return {root.root_id: root.public_key}
 
 
 def binding_for(measurement):

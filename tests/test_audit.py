@@ -17,7 +17,7 @@ from agent_esim.audit import (
     verify_audit_file,
 )
 from agent_esim.errors import StorageFailure
-from agent_esim.recordlog import FrameWalk, read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, write_frames
 
 
 def append_n(log, n, profile_id="p-1"):
@@ -69,7 +69,8 @@ def test_reload_continues_chain(tmp_path):
 
 
 def mutate_record(path, index, transform):
-    header, frames = read_frames(path)
+    with FrameWalk(path) as walk:
+        header, frames = walk.header, list(walk)
     record = json.loads(frames[index])
     transform(record)
     frames[index] = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
@@ -106,7 +107,8 @@ def test_hash_field_mutation_detected(log):
 def test_deletion_detected_at_gap(log):
     append_n(log, 10)
     log.close()
-    header, frames = read_frames(log.path)
+    with FrameWalk(log.path) as walk:
+        header, frames = walk.header, list(walk)
     del frames[4]  # drop seq 5
     write_frames(log.path, header, frames)
     status = verify_audit_file(log.path)
@@ -116,7 +118,8 @@ def test_deletion_detected_at_gap(log):
 def test_adjacent_swap_detected(log):
     append_n(log, 10)
     log.close()
-    header, frames = read_frames(log.path)
+    with FrameWalk(log.path) as walk:
+        header, frames = walk.header, list(walk)
     frames[2], frames[3] = frames[3], frames[2]
     write_frames(log.path, header, frames)
     status = verify_audit_file(log.path)
@@ -126,7 +129,8 @@ def test_adjacent_swap_detected(log):
 def test_truncated_tail_is_valid_prefix(log):
     append_n(log, 10)
     log.close()
-    header, frames = read_frames(log.path)
+    with FrameWalk(log.path) as walk:
+        header, frames = walk.header, list(walk)
     write_frames(log.path, header, frames[:6])
     status = verify_audit_file(log.path)
     assert status.ok and status.length == 6
@@ -135,7 +139,8 @@ def test_truncated_tail_is_valid_prefix(log):
 def test_undecodable_record_is_a_break(log):
     append_n(log, 5)
     log.close()
-    header, frames = read_frames(log.path)
+    with FrameWalk(log.path) as walk:
+        header, frames = walk.header, list(walk)
     frames[2] = b"\xff\xfenot json"
     write_frames(log.path, header, frames)
     status = verify_audit_file(log.path)

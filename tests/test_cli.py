@@ -15,7 +15,7 @@ from agent_esim.audit import load_audit_records
 from agent_esim.cli import main
 from agent_esim.config import ADMIN_SECRET_ENV
 from agent_esim.policy import permissive_policy
-from agent_esim.recordlog import read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, write_frames
 
 ADMIN_SECRET = "cli-admin-secret"
 
@@ -164,7 +164,8 @@ def test_audit_verify_on_log_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"] is True
 
     # truncated tail still verifies, with the shorter length reported
-    header, frames = read_frames(log_path)
+    with FrameWalk(log_path) as walk:
+        header, frames = walk.header, list(walk)
     write_frames(log_path, header, frames[:1])
     code, out, _ = run_cli(capsys, "--json", "audit-verify", "--log", str(log_path))
     assert code == 0

@@ -84,3 +84,10 @@ def test_admin_secret_required(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path, {"state_dir": "s"}))
     with pytest.raises(ConfigError, match=ADMIN_SECRET_ENV):
         config.resolve_admin_secret()
+
+
+@pytest.mark.parametrize("key_hex", ["ab" * 31, "ab" * 33, ""], ids=["31-bytes", "33-bytes", "empty"])
+def test_attestation_root_key_must_be_32_bytes(key_hex):
+    document = {"state_dir": "state", "attestation_roots": [{"root_id": "tee-1", "public_key": key_hex}]}
+    with pytest.raises(ConfigError, match="tee-1"):
+        config_from_dict(document)

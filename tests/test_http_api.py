@@ -5,18 +5,20 @@ import secrets
 
 import pytest
 
-from agent_esim.audit import AuditOperation, verify_audit_file
+from agent_esim.audit import AuditOperation, load_audit_records, verify_audit_file
 from agent_esim.client import AdminClient, GatewayClient
 from agent_esim.errors import (
     AdminAuthFailure,
     DeniedByGateway,
     UnknownProfile,
 )
-from agent_esim.httpapi import GatewayHTTPServer
+from agent_esim.httpapi import MAX_PROFILE_ID_CHARS, GatewayHTTPServer
 from agent_esim.policy import permissive_policy
+from agent_esim.vault import ProfileState
 from agent_esim.wire import request_digest, scan_for_secrets
 
 from tests.conftest import Stack, digest_of
+from tests.test_policy import REFUSED_DOCUMENTS
 
 ADMIN_SECRET = "test-admin-secret"
 
@@ -328,3 +330,92 @@ def test_wire_responses_never_leak_key_material(served):
     ]
     wire_blob = json.dumps(admin.transcript + client.transcript).encode()
     assert scan_for_secrets(wire_blob, secrets_list) == []
+
+
+def state_files(stack):
+    """Every file of the state directory, byte for byte."""
+    return {p.name: p.read_bytes() for p in stack.state_dir.iterdir() if p.is_file()}
+
+
+def admin_post(admin, path, body):
+    return admin.request("POST", path, body, {"X-Admin-Secret": ADMIN_SECRET})
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["numeric policy_id", "numeric cidr entry", "NaN window", "infinite window",
+     "window 'inf'", "infinite not_after"],
+)
+def test_policy_the_check_refuses_answers_400_and_changes_nothing(served, case):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    created = admin.provision(provision_document(secrets.token_bytes(32)))
+    before = state_files(stack)
+    document = REFUSED_DOCUMENTS[case]
+    status, body, _ = admin_post(
+        admin, "/admin/policy", {"profile_id": created["profile_id"], "policy": document}
+    )
+    assert (status, body["error"]) == (400, "InvalidPolicy")
+    provision = dict(provision_document(secrets.token_bytes(32)), initial_policy=document)
+    status, body, _ = admin_post(admin, "/admin/provision", provision)
+    assert (status, body["error"]) == (400, "InvalidPolicy")
+    assert state_files(stack) == before
+    assert stack.vault.profile_ids() == [created["profile_id"]]
+
+
+@pytest.mark.parametrize("reason", [5, 1.5, True, ["compromised"], {"why": "compromised"}])
+def test_revoke_with_a_non_string_reason_answers_400(served, reason):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    profile_id = admin.provision(provision_document(secrets.token_bytes(32)))["profile_id"]
+    before = state_files(stack)
+    status, body, _ = admin_post(
+        admin, "/admin/revoke", {"profile_id": profile_id, "reason": reason}
+    )
+    assert (status, body["error"]) == (400, "MalformedRequest")
+    assert state_files(stack) == before
+    assert stack.vault.get_state(profile_id) is ProfileState.ACTIVE
+
+
+def test_revoke_without_a_reason_records_unspecified(served):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    for extra in ({}, {"reason": ""}, {"reason": None}):
+        profile_id = admin.provision(provision_document(secrets.token_bytes(32)))["profile_id"]
+        status, _, _ = admin_post(admin, "/admin/revoke", dict(extra, profile_id=profile_id))
+        assert status == 200
+        assert load_audit_records(stack.audit.path)[-1].outcome.detail == "Revoked: unspecified"
+
+
+ID_REQUESTS = {
+    "sign": ("POST", "/identity/sign", {"payload_digest": "00" * 32}),
+    "authenticate": ("POST", "/identity/authenticate", {"rand": "00" * 16, "autn": "00" * 16}),
+    "revoke": ("POST", "/admin/revoke", {"reason": "test"}),
+    "lifecycle": ("POST", "/admin/lifecycle", {"action": "suspend"}),
+    "policy": ("POST", "/admin/policy", {"policy": permissive_policy().to_json()}),
+    "status": ("GET", "/identity/status/", None),
+}
+
+
+@pytest.mark.parametrize("endpoint", ID_REQUESTS)
+def test_profile_ids_over_the_limit_answer_400_unaudited(served, endpoint):
+    stack, server = served
+    client = GatewayClient(server.base_url)
+    method, path, fields = ID_REQUESTS[endpoint]
+
+    def send(profile_id):
+        if fields is None:
+            return client.request(method, path + profile_id, None, {"X-Admin-Secret": ADMIN_SECRET})
+        body = dict(fields, profile_id=profile_id)
+        return client.request(method, path, body, {"X-Admin-Secret": ADMIN_SECRET})
+
+    longest = "esim-" + "x" * (MAX_PROFILE_ID_CHARS - 5)
+    assert MAX_PROFILE_ID_CHARS == len(longest) == 64
+    status, body, _ = send(longest)
+    assert (status, body["error"]) == (404, "UnknownProfile")
+    records = load_audit_records(stack.audit.path)
+    assert len(records) == 1 and records[0].profile_id == longest
+    before = stack.audit.path.read_bytes()
+    status, body, _ = send(longest + "y")
+    assert (status, body["error"]) == (400, "MalformedRequest")
+    assert stack.audit.path.read_bytes() == before

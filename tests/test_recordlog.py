@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from agent_esim import recordlog
 from agent_esim.errors import StorageFailure, WireFormatError
-from agent_esim.recordlog import RecordLog, iter_records, read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, RecordLog, iter_records, write_frames
 from agent_esim.wire import (
     decode_fields,
     decode_timestamp,
@@ -104,7 +104,8 @@ def test_failed_append_is_cut_back_and_a_failed_cut_closes_the_log(tmp_path, mon
 def test_frame_tools_round_trip(tmp_path):
     path = tmp_path / "y.log"
     write_frames(path, "TEST/1", [b"one", b"two"])
-    header, frames = read_frames(path)
+    with FrameWalk(path) as walk:
+        header, frames = walk.header, list(walk)
     assert header == "TEST/1" and frames == [b"one", b"two"]
 
 
@@ -113,8 +114,8 @@ def test_truncated_frame_detected(tmp_path):
     write_frames(path, "TEST/1", [b"complete"])
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])  # rip off part of the last frame
-    with pytest.raises(StorageFailure):
-        read_frames(path)
+    with pytest.raises(StorageFailure, match="runs past end"):
+        list(iter_records(path, "TEST/1"))
 
 
 @pytest.mark.parametrize("cut", [1, 7, 9])
@@ -378,7 +379,8 @@ def test_write_frames_streams_any_iterable(tmp_path):
     path = tmp_path / "g.log"
     size = write_frames(path, "TEST/1", (bytes([65 + i]) for i in range(3)))
     assert size == path.stat().st_size
-    assert read_frames(path) == ("TEST/1", [b"A", b"B", b"C"])
+    with FrameWalk(path) as walk:
+        assert (walk.header, list(walk)) == ("TEST/1", [b"A", b"B", b"C"])
 
 
 # -- checkpoints: a log without a snapshot reopens from its tail ---------------------

@@ -16,7 +16,7 @@ from agent_esim.errors import (
 )
 from agent_esim.identifiers import IdentifierAllocator
 from agent_esim.milenage import MilenageKeyMaterial, generate_auth_vector
-from agent_esim.recordlog import read_frames, write_frames
+from agent_esim.recordlog import FrameWalk, write_frames
 from agent_esim.vault import (
     AkaMacFailure,
     AkaSuccess,
@@ -227,7 +227,8 @@ def test_sqn_order_under_concurrent_aka(tmp_path, monkeypatch):
     for t in threads:
         t.join()
     vault.close()
-    _, frames = read_frames(state / "vault.log")
+    with FrameWalk(state / "vault.log") as walk:
+        frames = list(walk)
     written = [r["sqn_ms"] for r in map(json.loads, frames) if r["type"] == "sqn"]
     assert written
     assert all(a < b for a, b in zip(written, written[1:]))
@@ -269,7 +270,8 @@ def test_install_record_written_with_a_policy_id_still_opens(tmp_path):
     vault.install_profile(make_profile())
     before = vault.get_profile_status("p-1")
     vault.close()
-    header, frames = read_frames(state / "vault.log")
+    with FrameWalk(state / "vault.log") as walk:
+        header, frames = walk.header, list(walk)
     record = json.loads(frames[0])
     assert "policy_id" not in record["profile"]
     record["profile"]["policy_id"] = "pol-1"
