@@ -6,6 +6,12 @@ the previous record's hash, so any mutation, deletion, or reorder of the
 stored log is detectable; sequence numbers are dense from 1 and the
 genesis record chains from 32 zero bytes. A truncated tail is still a
 valid (shorter) chain and is reported by length, not as a break.
+
+A stored record holds each fact once: no `prev_hash`, which the checker
+carries from the record before (as `load_audit_records` fills it), and no
+`detail` when there is none. Records written before this form store
+`prev_hash`, and the checker compares it where present, so old and mixed
+logs verify; an older checker reports a break at the first newer record.
 """
 
 from __future__ import annotations
@@ -65,20 +71,22 @@ class AuditRecord:
     record_hash: bytes
 
     def to_json(self) -> dict:
-        return {
+        rec = {
             "seq": self.seq,
             "timestamp_us": self.timestamp_us,
             "profile_id": self.profile_id,
             "operation": self.operation.value,
             "outcome": self.outcome.kind,
-            "detail": self.outcome.detail,
             "request_digest": self.request_digest.hex(),
-            "prev_hash": self.prev_hash.hex(),
             "record_hash": self.record_hash.hex(),
         }
+        if self.outcome.detail is not None:
+            rec["detail"] = self.outcome.detail
+        return rec
 
     @classmethod
-    def from_json(cls, rec: dict) -> "AuditRecord":
+    def from_json(cls, rec: dict, prev_hash: bytes) -> "AuditRecord":
+        """A stored record that follows the record whose hash is `prev_hash`."""
         return cls(
             seq=int(rec["seq"]),
             timestamp_us=int(rec["timestamp_us"]),
@@ -86,7 +94,7 @@ class AuditRecord:
             operation=AuditOperation(rec["operation"]),
             outcome=AuditOutcome(kind=rec["outcome"], detail=rec.get("detail")),
             request_digest=bytes.fromhex(rec["request_digest"]),
-            prev_hash=bytes.fromhex(rec["prev_hash"]),
+            prev_hash=prev_hash,
             record_hash=bytes.fromhex(rec["record_hash"]),
         )
 
@@ -192,7 +200,11 @@ class AuditLog:
 
 
 def load_audit_records(path: str | Path, end: int | None = None) -> list[AuditRecord]:
-    return [AuditRecord.from_json(rec) for rec in iter_records(path, AUDIT_HEADER, end)]
+    records, prev_hash = [], GENESIS_PREV_HASH
+    for rec in iter_records(path, AUDIT_HEADER, end):
+        records.append(AuditRecord.from_json(rec, prev_hash))
+        prev_hash = records[-1].record_hash
+    return records
 
 
 _OPERATIONS = frozenset(op.value for op in AuditOperation)
@@ -206,7 +218,7 @@ def _link_hash(rec: dict, position: int, prev_hash: bytes) -> bytes | None:
         if (
             int(rec["seq"]) != position
             or rec["operation"] not in _OPERATIONS
-            or bytes.fromhex(rec["prev_hash"]) != prev_hash
+            or ("prev_hash" in rec and bytes.fromhex(rec["prev_hash"]) != prev_hash)
         ):
             return None
         computed = record_hash(
@@ -229,9 +241,9 @@ def verify_audit_chain(records: Iterable[dict]) -> ChainStatus:
     position that fails names the break.
 
     Position k (1-based) fails when the stored record's seq is not k, its
-    operation is unknown, its prev_hash does not equal the previous record's
-    hash, its record_hash does not match recomputation, or it cannot be read
-    at all (`records` raising StorageFailure there).
+    operation is unknown, its stored prev_hash (if any) does not equal the
+    previous record's hash, its record_hash does not match recomputation,
+    or it cannot be read at all (`records` raising StorageFailure there).
     """
     prev_hash: bytes | None = GENESIS_PREV_HASH
     length = 0

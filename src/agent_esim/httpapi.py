@@ -18,10 +18,12 @@ desk-scale stand-in for a mutually authenticated channel):
 
 Binary fields are lowercase hex on the wire. A profile id, in a body or
 in the status path, has at most MAX_PROFILE_ID_CHARS characters; a longer
-one gets 400 and writes no audit record. Status mapping: allow 200,
-denied 403 (+ Retry-After on rate-limit denials), unknown profile 404,
-invalid input 400, duplicate/illegal transition 409, missing or wrong
-admin secret 401, storage or vault failure 503.
+one gets 400 and writes no audit record. So does a body that holds a lone
+surrogate escape (`"\\ud800"`) in any string; the status path is read
+as Latin-1 and not percent-decoded, so it cannot hold one. Status
+mapping: allow 200, denied 403 (+ Retry-After on rate-limit denials),
+unknown profile 404, invalid input 400, duplicate/illegal transition
+409, missing or wrong admin secret 401, storage or vault failure 503.
 
 HTTP subset. The server speaks HTTP/1.1 and answers HTTP/1.0 requests too.
 A request body is delimited by Content-Length alone: a request carrying
@@ -346,11 +348,19 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _body(self) -> dict:
         try:
-            body = json.loads((self._raw_body or b"{}").decode("utf-8"))
+            text = (self._raw_body or b"{}").decode("utf-8")
+            body = json.loads(text)
         except (ValueError, UnicodeDecodeError) as err:
             raise MalformedRequest(f"request body is not valid JSON: {err}") from err
         if not isinstance(body, dict):
             raise MalformedRequest("request body must be a JSON object")
+        # Only a \u escape can make a lone surrogate, which no string in the
+        # service may hold: it has no UTF-8 form to hash, store or answer.
+        if "\\u" in text:
+            try:
+                json.dumps(body, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise MalformedRequest("request body holds a lone surrogate escape") from err
         return body
 
     def _attestation(self) -> AttestationToken | None:

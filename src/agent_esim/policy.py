@@ -5,6 +5,8 @@ validity window, source-network scope, measurement pinning, and a
 sliding-window rate limit. `DelegationPolicy.__post_init__` is the one
 check of a policy: it refuses what enforcement cannot apply (a non-string
 id or prefix, a window or validity bound that is not finite).
+`DelegationPolicy.from_json` reads a document without coercing it, so a
+field of the wrong JSON type is refused, not converted.
 `enforce_policy` runs the checks in one fixed order and raises
 `GatewayDenied` at the first that fails; the rate budget is spent only
 when every earlier check passed.
@@ -120,28 +122,43 @@ class DelegationPolicy:
 
     @classmethod
     def from_json(cls, data: dict) -> "DelegationPolicy":
+        """Read a policy document without coercing its fields: `max_ops` is
+        an integer, each window or validity bound a number (an integer
+        reads as a float), each allowlist a list."""
         if not isinstance(data, dict):
             raise InvalidPolicy("malformed policy document: not a JSON object")
         policy_id = data.get("policy_id")
         try:
+            rate, validity = data["rate_limit"], data["validity"]
+            window, not_before, not_after = (
+                float(_typed(section[key], (int, float), key))
+                for section, key in (
+                    (rate, "window_seconds"), (validity, "not_before"), (validity, "not_after")
+                )
+            )
+            ops, prefixes, measurements = (
+                _typed(data.get(key, []), (list,), key)
+                for key in ("allowed_ops", "cidr_allowlist", "measurement_allowlist")
+            )
             return cls(
                 policy_id=uuid.uuid4().hex if policy_id in (None, "") else policy_id,
-                rate_limit=RateLimit(
-                    max_ops=int(data["rate_limit"]["max_ops"]),
-                    window_seconds=float(data["rate_limit"]["window_seconds"]),
-                ),
-                validity=Validity(
-                    not_before=float(data["validity"]["not_before"]),
-                    not_after=float(data["validity"]["not_after"]),
-                ),
-                allowed_ops=frozenset(GatewayOp(op) for op in data["allowed_ops"]),
-                cidr_allowlist=frozenset(data.get("cidr_allowlist", [])),
-                measurement_allowlist=frozenset(
-                    bytes.fromhex(m) for m in data.get("measurement_allowlist", [])
-                ),
+                rate_limit=RateLimit(_typed(rate["max_ops"], (int,), "max_ops"), window),
+                validity=Validity(not_before, not_after),
+                allowed_ops=frozenset(GatewayOp(op) for op in ops),
+                cidr_allowlist=frozenset(prefixes),
+                measurement_allowlist=frozenset(bytes.fromhex(m) for m in measurements),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise InvalidPolicy(f"malformed policy document: {err}") from err
+
+
+def _typed(value, kinds: tuple[type, ...], name: str):
+    """`value` when its type is exactly one of `kinds`, so `true` is no
+    integer; else InvalidPolicy."""
+    if type(value) not in kinds:
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidPolicy(f"{name} must be {expected}, not {type(value).__name__}")
+    return value
 
 
 def permissive_policy(

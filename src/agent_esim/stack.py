@@ -43,6 +43,7 @@ class ServiceStack:
     roots: dict[str, bytes]
     allocator: IdentifierAllocator
     gateway: IdentityGateway
+    opened: ExitStack  # closes the stores, last opened first
 
     def build_server(self, *, admin_secret: str | None = None) -> GatewayHTTPServer:
         secret = admin_secret or self.config.resolve_admin_secret()
@@ -51,10 +52,7 @@ class ServiceStack:
         )
 
     def close(self) -> None:
-        self.vault.close()
-        self.netcore.close()
-        self.policies.close()
-        self.audit.close()
+        self.opened.close()
 
 
 def build_stack(
@@ -63,44 +61,52 @@ def build_stack(
     clock: Callable[[], float] = time.time,
     sync: bool = True,
 ) -> ServiceStack:
+    """Open the stores of `config.state_dir` and assemble the gateway; a
+    store that refuses to open closes every store opened before it."""
     state_dir = Path(config.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    # First: a stored policy the check refuses stops the open before any log is held.
-    policies = PolicyStore(state_dir, sync=sync)
-    vault = SimVault(state_dir, sync=sync)
-    netcore = NetworkCore(
-        state_dir,
-        vault.key_material_for,
-        sqn_step=config.sqn_step,
-        challenge_ttl=config.challenge_ttl_seconds,
-        clock=clock,
-        sync=sync,
-    )
-    audit = AuditLog(state_dir, sync=sync, clock=clock)
-    roots = dict(config.attestation_roots)
-    allocator = IdentifierAllocator(
-        vault, imsi_prefix=config.imsi_prefix, iccid_prefix=config.iccid_prefix
-    )
-    gateway = IdentityGateway(
-        vault,
-        policies,
-        audit,
-        roots,
-        allocator=allocator,
-        default_policy=config.default_policy,
-        operator_op=config.operator_op,
-        clock=clock,
-    )
-    return ServiceStack(
-        config=config,
-        vault=vault,
-        netcore=netcore,
-        policies=policies,
-        audit=audit,
-        roots=roots,
-        allocator=allocator,
-        gateway=gateway,
-    )
+    with ExitStack() as opened:
+        # First: a stored policy the check refuses stops the open before any log is held.
+        policies = PolicyStore(state_dir, sync=sync)
+        opened.callback(policies.close)
+        vault = SimVault(state_dir, sync=sync)
+        opened.callback(vault.close)
+        netcore = NetworkCore(
+            state_dir,
+            vault.key_material_for,
+            sqn_step=config.sqn_step,
+            challenge_ttl=config.challenge_ttl_seconds,
+            clock=clock,
+            sync=sync,
+        )
+        opened.callback(netcore.close)
+        audit = AuditLog(state_dir, sync=sync, clock=clock)
+        opened.callback(audit.close)
+        roots = dict(config.attestation_roots)
+        allocator = IdentifierAllocator(
+            vault, imsi_prefix=config.imsi_prefix, iccid_prefix=config.iccid_prefix
+        )
+        gateway = IdentityGateway(
+            vault,
+            policies,
+            audit,
+            roots,
+            allocator=allocator,
+            default_policy=config.default_policy,
+            operator_op=config.operator_op,
+            clock=clock,
+        )
+        return ServiceStack(
+            config=config,
+            vault=vault,
+            netcore=netcore,
+            policies=policies,
+            audit=audit,
+            roots=roots,
+            allocator=allocator,
+            gateway=gateway,
+            opened=opened.pop_all(),
+        )
 
 
 @contextmanager

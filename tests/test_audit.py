@@ -4,20 +4,23 @@ import json
 import secrets
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from agent_esim.audit import (
+    AUDIT_HEADER,
     AuditLog,
     AuditOperation,
     AuditOutcome,
+    ChainStatus,
     GENESIS_PREV_HASH,
     load_audit_records,
     verify_audit_chain,
     verify_audit_file,
 )
 from agent_esim.errors import StorageFailure
-from agent_esim.recordlog import FrameWalk, write_frames
+from agent_esim.recordlog import FrameWalk, iter_records, write_frames
 
 
 def append_n(log, n, profile_id="p-1"):
@@ -250,3 +253,118 @@ def test_corrupt_length_inside_the_checkpointed_prefix_is_refused(tmp_path, caps
     assert path.read_bytes() == bytes(raw)
     assert main(["--json", "audit-verify", "--log", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": False, "length": 10, "first_bad_seq": 11}
+
+
+def test_stored_records_hold_no_prev_hash_and_no_null_detail(log):
+    log.append("p-1", AuditOperation.SIGN, AuditOutcome.allowed(), bytes(32))
+    log.append("p-1", AuditOperation.SIGN, AuditOutcome.denied("RateLimit"), bytes(32))
+    log.append("p-1", AuditOperation.SIGN, AuditOutcome.error("VaultError"), bytes(32))
+    raw = log.path.read_bytes()
+    assert b"prev_hash" not in raw and b'"detail":null' not in raw
+    stored = list(iter_records(log.path, AUDIT_HEADER))
+    assert ["detail" in record for record in stored] == [False, True, True]
+    assert verify_audit_file(log.path).ok
+
+
+# An audit.log in the form that stores `prev_hash` and a null `detail` in
+# every record, written by the code before that form was dropped: 300
+# records (allowed, denied and error outcomes over seven operation kinds,
+# five profiles, a clock stepping 1 ms from 1_760_000_000 s, and request
+# digests sha256(b"fixture %d" % i)), with the checkpoint it wrote at 64 KiB.
+OLDER_FORM = Path(__file__).parent / "data" / "audit-with-prev-hash"
+
+
+@pytest.fixture
+def older(tmp_path):
+    """A copy of the older-form state directory."""
+    return Path(shutil.copytree(OLDER_FORM, tmp_path / "older"))
+
+
+def _checkpoint_end(state) -> int:
+    (point,) = iter_records(state / "audit.log.ckpt", AUDIT_HEADER)
+    return point["end"]
+
+
+def test_a_log_in_the_older_form_verifies_and_reopens_from_its_checkpoint(older):
+    stored = list(iter_records(older / "audit.log", AUDIT_HEADER))
+    assert all("prev_hash" in record and "detail" in record for record in stored)
+    assert {record["outcome"] for record in stored} == {"allowed", "denied", "error"}
+    assert verify_audit_file(older / "audit.log") == ChainStatus(ok=True, length=300)
+    records = load_audit_records(older / "audit.log")
+    assert [r.prev_hash.hex() for r in records] == [record["prev_hash"] for record in stored]
+
+    reopened = AuditLog(older, sync=False)
+    assert reopened._log._checkpoint_end == _checkpoint_end(older)
+    assert (reopened._seq, reopened._last_hash) == (300, records[-1].record_hash)
+    reopened.close()
+
+
+def _mixed(older) -> Path:
+    """The older log with 300 records of the stored form appended, across a
+    checkpoint; returns its path."""
+    audit = AuditLog(older, sync=False)
+    append_n(audit, 300)
+    audit.close()
+    return audit.path
+
+
+def test_records_appended_to_an_older_log_verify_and_reopen_from_a_checkpoint(older):
+    old_size = (older / "audit.log").stat().st_size
+    path = _mixed(older)
+    assert _checkpoint_end(older) > old_size  # a checkpoint over both forms
+    assert verify_audit_file(path) == ChainStatus(ok=True, length=600)
+    records = load_audit_records(path)
+    assert all(cur.prev_hash == prev.record_hash for prev, cur in zip(records, records[1:]))
+
+    reopened = AuditLog(older, sync=False)
+    assert reopened._log._checkpoint_end == _checkpoint_end(older)
+    assert (reopened._seq, reopened._last_hash) == (600, records[-1].record_hash)
+    append_n(reopened, 1)
+    assert reopened.verify() == ChainStatus(ok=True, length=601)
+    reopened.close()
+
+
+def test_a_changed_stored_prev_hash_fails_at_its_record(older):
+    def flip_prev(record):
+        record["prev_hash"] = "00" + record["prev_hash"][2:]
+
+    mutate_record(older / "audit.log", 99, flip_prev)  # seq 100
+    assert verify_audit_file(older / "audit.log") == ChainStatus(False, 99, 100)
+
+
+def test_a_deleted_stored_prev_hash_changes_nothing_checked(older):
+    mutate_record(older / "audit.log", 99, lambda record: record.pop("prev_hash"))
+    assert verify_audit_file(older / "audit.log") == ChainStatus(ok=True, length=300)
+
+
+def _swap(frames, at):
+    frames[at], frames[at + 1] = frames[at + 1], frames[at]
+
+
+# How each tamper of the stored form edits the frames, and the first
+# position that must fail; frame 449 holds seq 450.
+TAMPERS = {
+    "changed field": (lambda frames: _retouch(frames, 449, profile_id="someone-else"), 450),
+    "changed record_hash": (lambda frames: _retouch(frames, 449, record_hash="00" * 32), 450),
+    "dropped record": (lambda frames: frames.pop(449), 450),
+    "swapped pair": (lambda frames: _swap(frames, 449), 450),
+    "duplicated record": (lambda frames: frames.insert(450, frames[449]), 451),
+}
+
+
+def _retouch(frames, index, **fields):
+    frames[index] = json.dumps(
+        {**json.loads(frames[index]), **fields}, separators=(",", ":"), sort_keys=True
+    ).encode()
+
+
+@pytest.mark.parametrize("tamper", TAMPERS.values(), ids=TAMPERS)
+def test_a_tampered_record_of_the_stored_form_fails_at_its_position(older, tamper):
+    path = _mixed(older)
+    edit, position = tamper
+    with FrameWalk(path) as walk:
+        header, frames = walk.header, list(walk)
+    assert "prev_hash" not in json.loads(frames[449])
+    edit(frames)
+    write_frames(path, header, frames)
+    assert verify_audit_file(path) == ChainStatus(False, position - 1, position)

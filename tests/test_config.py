@@ -91,3 +91,16 @@ def test_attestation_root_key_must_be_32_bytes(key_hex):
     document = {"state_dir": "state", "attestation_roots": [{"root_id": "tee-1", "public_key": key_hex}]}
     with pytest.raises(ConfigError, match="tee-1"):
         config_from_dict(document)
+
+
+def test_default_policy_is_read_without_coercion():
+    from agent_esim.errors import InvalidPolicy
+    from agent_esim.policy import permissive_policy
+
+    document = permissive_policy(policy_id="default").to_json()
+    document["rate_limit"]["window_seconds"] = 60  # a JSON integer is a number
+    config = config_from_dict({"state_dir": "s", "default_policy": document})
+    assert config.default_policy.rate_limit.window_seconds == 60.0
+    document["rate_limit"]["max_ops"] = "5"
+    with pytest.raises(InvalidPolicy, match="max_ops"):
+        config_from_dict({"state_dir": "s", "default_policy": document})

@@ -18,7 +18,7 @@ from agent_esim.vault import ProfileState
 from agent_esim.wire import request_digest, scan_for_secrets
 
 from tests.conftest import Stack, digest_of
-from tests.test_policy import REFUSED_DOCUMENTS
+from tests.test_policy import MISTYPED_DOCUMENTS, REFUSED_DOCUMENTS
 
 ADMIN_SECRET = "test-admin-secret"
 
@@ -344,7 +344,7 @@ def admin_post(admin, path, body):
 @pytest.mark.parametrize(
     "case",
     ["numeric policy_id", "numeric cidr entry", "NaN window", "infinite window",
-     "window 'inf'", "infinite not_after"],
+     "window 'inf'", "infinite not_after", *MISTYPED_DOCUMENTS],
 )
 def test_policy_the_check_refuses_answers_400_and_changes_nothing(served, case):
     stack, server = served

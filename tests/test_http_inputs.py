@@ -1,8 +1,9 @@
 """The HTTP input rule: no generated JSON document, posted to any endpoint
 with the admin secret, gets an answer of 500 or more, none leaves the
 service unable to answer an attested sign below 500, and the audit chain
-stays whole. Generated strings are valid Unicode: Hypothesis's text
-strategy draws no lone surrogates."""
+stays whole. Generated strings also draw lone surrogates, which a JSON
+document carries as `\\u` escapes: a body that holds one answers 400
+`MalformedRequest` and writes no audit record."""
 
 import http.client
 import json
@@ -21,9 +22,12 @@ from tests.test_policy import with_value
 
 ADMIN_SECRET = "inputs-admin-secret"
 
+# Any character, lone surrogates included (Hypothesis's default draws none).
+CHARACTERS = st.characters() | st.characters(categories=["Cs"])
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(CHARACTERS, max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(CHARACTERS, max_size=8), inner, max_size=3),
     max_leaves=8,
 )
 
@@ -66,8 +70,16 @@ STATUS_PATH = "/identity/status/"
 # and the profile id appended to it
 REQUESTS = st.one_of(
     st.tuples(st.sampled_from(TARGETS), JSON),
-    st.tuples(st.just((STATUS_PATH, None)), st.text(max_size=70)),
+    st.tuples(st.just((STATUS_PATH, None)), st.text(CHARACTERS, max_size=70)),
 )
+
+
+def holds_a_lone_surrogate(document) -> bool:
+    try:
+        json.dumps(document, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def test_no_generated_document_gets_a_5xx(tmp_path):
@@ -87,6 +99,8 @@ def test_no_generated_document_gets_a_5xx(tmp_path):
     @example((("/admin/provision", ("initial_policy", "cidr_allowlist")), [5, "10.0.0.0/8"]))
     @example((("/admin/revoke", ("reason",)), ["compromised"]))
     @example((("/admin/policy", ("policy", "rate_limit")), {"max_ops": 0, "window_seconds": 1e400}))
+    @example((("/identity/sign", ("profile_id",)), "esim-\ud800"))
+    @example((("/admin/provision", ("enterprise_namespace",)), "acme/\udfff"))
     def post(request):
         target, value = request
         measurement = secrets.token_bytes(32)
@@ -94,15 +108,23 @@ def test_no_generated_document_gets_a_5xx(tmp_path):
         token = stack.token_for(measurement)
         headers = {"X-Admin-Secret": ADMIN_SECRET, "X-Attestation-Token": token.to_header()}
         path, field = target
+        refused = False
+        audited = stack.audit._seq
         if path == STATUS_PATH:
-            raw.request("GET", STATUS_PATH + quote(value, safe=""), headers=headers)
+            quoted = quote(value, safe="", errors="surrogatepass")
+            raw.request("GET", STATUS_PATH + quoted, headers=headers)
         else:
             document = valid_documents(profile_id, measurement)[path]
-            body = json.dumps(with_value(document, field, value) if field else value)
-            raw.request("POST", path, body.encode(), {"Content-Type": "application/json", **headers})
+            document = with_value(document, field, value) if field else value
+            refused = holds_a_lone_surrogate(document)
+            body = json.dumps(document).encode()  # ASCII: a surrogate goes as \ud800
+            raw.request("POST", path, body, {"Content-Type": "application/json", **headers})
         response = raw.getresponse()
-        response.read()
+        answer = json.loads(response.read())
         assert response.status < 500, (target, value, response.status)
+        if refused:
+            assert (response.status, answer["error"]) == (400, "MalformedRequest"), answer
+            assert stack.audit._seq == audited
         status, answer, _ = client.request(
             "POST", "/identity/sign", {"profile_id": profile_id, "payload_digest": "ab" * 32},
             {"X-Attestation-Token": token.to_header()},

@@ -2,6 +2,7 @@
 restart rebuilds exactly the state the live process held."""
 
 import errno
+import os
 import random
 import secrets
 import subprocess
@@ -769,3 +770,15 @@ def test_crash_around_a_checkpoint_reopens_the_durable_chain(tmp_path, point):
         assert reopened.verify().length == durable + 1
     finally:
         reopened.close()
+
+
+def test_a_store_that_refuses_to_open_closes_the_stores_opened_before_it(tmp_path):
+    state = tmp_path / "state"
+    state.mkdir()
+    (state / "audit.log").write_bytes(b"NOT-AN-AUDIT-LOG/1\n")
+    descriptors = set(os.listdir("/dev/fd"))
+    # `refused` keeps the traceback alive, and with it the frame that
+    # opened the earlier stores, so only a close releases their files
+    with pytest.raises(StorageFailure, match="expected header") as refused:
+        build_stack(ServiceConfig(state_dir=state), sync=False)
+    assert refused.value and set(os.listdir("/dev/fd")) <= descriptors

@@ -229,12 +229,36 @@ REFUSED_DOCUMENTS = {
     "NaN not_before": with_value(POLICY_DOCUMENT, ("validity", "not_before"), math.nan),
     "infinite max_ops": with_value(POLICY_DOCUMENT, ("rate_limit", "max_ops"), math.inf),
 }
+# Documents with a field of the wrong JSON type, which the reader refuses
+# rather than converts (`int(2.9)` is 2, `int(True)` is 1).
+MISTYPED_DOCUMENTS = {
+    "fractional max_ops": with_value(POLICY_DOCUMENT, ("rate_limit", "max_ops"), 2.9),
+    "boolean max_ops": with_value(POLICY_DOCUMENT, ("rate_limit", "max_ops"), True),
+    "string max_ops": with_value(POLICY_DOCUMENT, ("rate_limit", "max_ops"), "5"),
+    "boolean window": with_value(POLICY_DOCUMENT, ("rate_limit", "window_seconds"), True),
+    "string window": with_value(POLICY_DOCUMENT, ("rate_limit", "window_seconds"), "60"),
+    "boolean not_after": with_value(POLICY_DOCUMENT, ("validity", "not_after"), True),
+    "string not_before": with_value(POLICY_DOCUMENT, ("validity", "not_before"), "0"),
+    "string allowed_ops": with_value(POLICY_DOCUMENT, ("allowed_ops",), "Sign"),
+    "string cidr_allowlist": with_value(POLICY_DOCUMENT, ("cidr_allowlist",), "10.0.0.0/8"),
+    "object measurement_allowlist": with_value(POLICY_DOCUMENT, ("measurement_allowlist",), {}),
+}
+REFUSED_DOCUMENTS.update(MISTYPED_DOCUMENTS)
 
 
 @pytest.mark.parametrize("document", REFUSED_DOCUMENTS.values(), ids=REFUSED_DOCUMENTS)
 def test_policy_refuses_what_enforcement_cannot_apply(document):
     with pytest.raises(InvalidPolicy):
         DelegationPolicy.from_json(document)
+
+
+def test_integer_windows_and_bounds_read_as_floats():
+    document = with_value(POLICY_DOCUMENT, ("rate_limit", "window_seconds"), 60)
+    document = with_value(document, ("validity",), {"not_before": 0, "not_after": 4_000_000_000})
+    policy = DelegationPolicy.from_json(document)
+    assert policy.rate_limit == RateLimit(max_ops=1000, window_seconds=60.0)
+    assert policy.validity == Validity(not_before=0.0, not_after=4e9)
+    assert DelegationPolicy.from_json(policy.to_json()) == policy
 
 
 def test_absent_or_empty_policy_id_is_minted():
