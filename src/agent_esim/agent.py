@@ -123,7 +123,7 @@ def agent_authenticate(runtime: AgentRuntime, relying: RelyingService) -> AuthSe
     """Full challenge flow with at most one resynchronization round.
 
     relying service -> home network vector -> gateway authenticate ->
-    RES back to the relying service. DeniedByGateway propagates;
+    RES back to the relying service. GatewayDenied propagates;
     a second stale vector in a row raises ResyncExhausted.
     """
     transcript: list[dict[str, Any]] = []

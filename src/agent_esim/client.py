@@ -14,8 +14,10 @@ the server never ran it. A timeout is never retried.
 
 Each request, head and body, goes out in one write, and each response is
 read through one buffered reader kept with its connection, by the same
-`httpapi.read_head` the server reads requests with. A response that cannot
-be framed raises ServiceUnreachable, as a refused connection does.
+`httpapi.read_head` the server reads requests with. It reads only the
+framing the server writes, a body of exactly Content-Length bytes: any
+other response raises ServiceUnreachable, as a refused connection does.
+A 403 raises the gateway's own `GatewayDenied`, with its `DenyReason`.
 """
 
 from __future__ import annotations
@@ -30,21 +32,15 @@ from typing import Any
 from .attestation import AttestationToken
 from .errors import (
     AdminAuthFailure,
-    DeniedByGateway,
+    GatewayDenied,
     InvalidPolicy,
     MalformedRequest,
     ServiceUnreachable,
     UnknownProfile,
     VaultError,
 )
-from .httpapi import (
-    ADMIN_SECRET_HEADER,
-    ATTESTATION_HEADER,
-    MAX_BODY_BYTES,
-    FramingError,
-    body_length,
-    read_head,
-)
+from .httpapi import ADMIN_SECRET_HEADER, ATTESTATION_HEADER, FramingError, body_length, read_head
+from .policy import DenyReason
 
 # Idle connections a client keeps; more concurrent calls open more, and the
 # surplus is closed as they finish.
@@ -67,9 +63,8 @@ class _Link:
     def exchange(self, message: bytes) -> tuple[int, bytes, bool] | None:
         """Send a request and read its response. Returns the status, the body
         and whether the connection can carry another request: not after
-        `Connection: close`, an HTTP/1.0 response or a body that only the
-        close delimits. None when the server had closed the connection:
-        no byte of a response came back."""
+        `Connection: close` or an HTTP/1.0 response. None when the server
+        had closed the connection: no byte of a response came back."""
         try:
             self.conn.sock.sendall(message)
             head = read_head(self.rfile)
@@ -83,15 +78,11 @@ class _Link:
             raise FramingError(f"malformed status line: {status_line[:40]!r}")
         length = body_length(headers)
         if length is None:
-            body = self.rfile.read(MAX_BODY_BYTES + 1)
-            if len(body) > MAX_BODY_BYTES:
-                raise FramingError(f"response body over {MAX_BODY_BYTES} bytes")
-        else:
-            body = self.rfile.read(length)
-            if len(body) < length:
-                raise FramingError("the connection closed inside the response body")
-        keep = (length is not None and match[1] == "1"
-                and "close" not in headers.get("connection", "").lower())
+            raise FramingError("response without Content-Length")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise FramingError("the connection closed inside the response body")
+        keep = match[1] == "1" and "close" not in headers.get("connection", "").lower()
         return int(match[2]), body, keep
 
     def close(self) -> None:
@@ -203,10 +194,8 @@ class GatewayClient:
 
     @staticmethod
     def _raise_for(status: int, body: dict) -> None:
-        if status == 403:
-            raise DeniedByGateway(
-                body.get("reason", "unknown"), retry_after=body.get("retry_after")
-            )
+        if status == 403 and body.get("reason") in [r.value for r in DenyReason]:
+            raise GatewayDenied(DenyReason(body["reason"]), retry_after=body.get("retry_after"))
         if status == 404:
             raise UnknownProfile(body.get("message", "not found"))
         if status == 401:

@@ -1,19 +1,20 @@
 """Service configuration.
 
 A single JSON document configures `serve` and the direct-admin CLI mode.
-Documented keys (unknown keys are rejected by name):
+Documented keys (unknown keys are rejected by name, and a value of the
+wrong JSON type or out of range by its key, never converted):
 
-    listen_address       "host:port" the gateway HTTP server binds
-    state_dir            directory holding every persisted log
+    listen_address       "host:port" the gateway HTTP server binds; port 0-65535
+    state_dir            directory holding every persisted log (a string; required)
     admin_secret         shared admin credential (the AGENT_ESIM_ADMIN_SECRET
                          environment variable overrides it)
     attestation_roots    [{"root_id": ..., "public_key": <hex>}, ...]; each key
                          is a 32-byte Ed25519 public key
     default_policy       policy document applied when provisioning omits one
-    imsi_prefix          5-6 digit MCC+MNC prefix for allocated IMSIs
-    iccid_prefix         issuer prefix for allocated ICCIDs
-    challenge_ttl_seconds  network-core challenge lifetime
-    sqn_step             sequence-number advance per issued vector
+    imsi_prefix          5-6 digit MCC+MNC prefix for allocated IMSIs (a string)
+    iccid_prefix         issuer prefix for allocated ICCIDs (a string)
+    challenge_ttl_seconds  network-core challenge lifetime: a finite number above 0
+    sqn_step             sequence-number advance per issued vector: an integer >= 1
     operator_op          16-byte operator constant (hex); when set, per-profile
                          OPc is derived from it instead of drawn at random
 """
@@ -21,6 +22,7 @@ Documented keys (unknown keys are rejected by name):
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,10 +74,9 @@ def _parse_listen_address(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not host:
         raise ConfigError("config key listen_address must look like host:port")
-    try:
-        return host, int(port)
-    except ValueError as err:
-        raise ConfigError(f"config key listen_address has a bad port: {port!r}") from err
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"config key listen_address has a bad port: {port!r}")
+    return host, int(port)
 
 
 def load_config(path: str | Path) -> ServiceConfig:
@@ -95,8 +96,8 @@ def config_from_dict(document: dict, *, base_dir: Path | None = None) -> Service
     unknown = set(document) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    if "state_dir" not in document:
-        raise ConfigError("config key state_dir is required")
+    if not isinstance(document.get("state_dir"), str):
+        raise ConfigError("config key state_dir is required, as a string")
 
     state_dir = Path(document["state_dir"])
     if base_dir is not None and not state_dir.is_absolute():
@@ -124,17 +125,18 @@ def config_from_dict(document: dict, *, base_dir: Path | None = None) -> Service
     if document.get("default_policy") is not None:
         config.default_policy = DelegationPolicy.from_json(document["default_policy"])
 
-    for key, attr, caster in (
-        ("imsi_prefix", "imsi_prefix", str),
-        ("iccid_prefix", "iccid_prefix", str),
-        ("challenge_ttl_seconds", "challenge_ttl_seconds", float),
-        ("sqn_step", "sqn_step", int),
+    for key, valid, rule in (
+        ("imsi_prefix", lambda v: type(v) is str, "a string"),
+        ("iccid_prefix", lambda v: type(v) is str, "a string"),
+        ("challenge_ttl_seconds", lambda v: type(v) in (int, float) and 0 < v < math.inf,
+         "a finite number above 0"),
+        ("sqn_step", lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
     ):
         if key in document:
-            try:
-                setattr(config, attr, caster(document[key]))
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"config key {key} is invalid: {err}") from err
+            if not valid(document[key]):
+                raise ConfigError(f"config key {key} must be {rule}, not {document[key]!r}")
+            setattr(config, key, document[key])
+    config.challenge_ttl_seconds = float(config.challenge_ttl_seconds)
 
     if document.get("operator_op"):
         try:

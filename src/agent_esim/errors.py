@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the service.
 
-Every domain failure has its own class so callers (and the HTTP layer) can
-map conditions without string matching. Error messages never carry key
-material; length/format violations are reported by field name only.
+Every domain failure has its own class so callers can tell conditions
+apart without string matching. Each class carries the HTTP `status` the
+edge answers it with (400 unless it says otherwise; an exception that is
+not an AgentEsimError answers 500), and the client raises the same class
+for a denial, `GatewayDenied`, that the gateway raised. Error messages
+never carry key material; length/format violations are reported by field
+name only.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 
 class AgentEsimError(Exception):
     """Base class for all domain errors."""
+
+    status = 400
 
 
 # --- cryptographic kernel ---------------------------------------------------
@@ -27,6 +33,8 @@ class MalformedAutn(AgentEsimError):
 class DuplicateProfile(AgentEsimError):
     """profile_id, IMSI, or ICCID already present in the vault."""
 
+    status = 409
+
 
 class InvalidProfile(AgentEsimError):
     """A profile invariant is violated; `field` names the offender."""
@@ -39,6 +47,8 @@ class InvalidProfile(AgentEsimError):
 class UnknownProfile(AgentEsimError):
     """No profile with the given id."""
 
+    status = 404
+
 
 class ProfileNotActive(AgentEsimError):
     """Operation requires an Active profile; carries the actual state."""
@@ -50,6 +60,8 @@ class ProfileNotActive(AgentEsimError):
 
 class IllegalTransition(AgentEsimError):
     """Requested lifecycle transition is not permitted."""
+
+    status = 409
 
     def __init__(self, current, requested):
         self.current = current
@@ -85,16 +97,19 @@ class InvalidPolicy(AgentEsimError):
 
 
 class GatewayDenied(AgentEsimError):
-    """Request denied by the gateway decision pipeline.
+    """Request denied by the gateway decision pipeline, raised by the
+    gateway and, for a 403 answer, by the client.
 
     `reason` is a DenyReason enum member; rate-limit denials also carry
     `retry_after` (seconds until budget frees up).
     """
 
+    status = 403
+
     def __init__(self, reason, retry_after: float | None = None):
         self.reason = reason
         self.retry_after = retry_after
-        super().__init__(f"denied: {getattr(reason, 'value', reason)}")
+        super().__init__(f"denied: {reason.value}")
 
 
 class MalformedRequest(AgentEsimError):
@@ -103,6 +118,8 @@ class MalformedRequest(AgentEsimError):
 
 class StorageFailure(AgentEsimError):
     """Persistence layer failed; the triggering request must fail closed."""
+
+    status = 503
 
 
 class WireFormatError(AgentEsimError):
@@ -120,17 +137,10 @@ class ServiceUnreachable(AgentEsimError):
 class AdminAuthFailure(AgentEsimError):
     """Admin credential missing or wrong."""
 
+    status = 401
+
 
 # --- agent harness ----------------------------------------------------------
-
-class DeniedByGateway(AgentEsimError):
-    """Agent-side mirror of a gateway denial; carries the reason string."""
-
-    def __init__(self, reason: str, retry_after: float | None = None):
-        self.reason = reason
-        self.retry_after = retry_after
-        super().__init__(f"denied by gateway: {reason}")
-
 
 class AuthFailed(AgentEsimError):
     """End-to-end authentication flow concluded unauthenticated."""
@@ -146,3 +156,5 @@ class UnknownScenario(AgentEsimError):
 
 class VaultError(AgentEsimError):
     """Unexpected internal failure inside the vault or a downstream store."""
+
+    status = 503

@@ -20,10 +20,10 @@ Binary fields are lowercase hex on the wire. A profile id, in a body or
 in the status path, has at most MAX_PROFILE_ID_CHARS characters; a longer
 one gets 400 and writes no audit record. So does a body that holds a lone
 surrogate escape (`"\\ud800"`) in any string; the status path is read
-as Latin-1 and not percent-decoded, so it cannot hold one. Status
-mapping: allow 200, denied 403 (+ Retry-After on rate-limit denials),
-unknown profile 404, invalid input 400, duplicate/illegal transition
-409, missing or wrong admin secret 401, storage or vault failure 503.
+as Latin-1 and not percent-decoded, so it cannot hold one. An allowed
+call answers 200; a failure answers the `status` of its error class (see
+`errors`; 403 for a denial, with Retry-After on a rate-limit denial), and
+an exception that is not a domain error answers 500.
 
 HTTP subset. The server speaks HTTP/1.1 and answers HTTP/1.0 requests too.
 A request body is delimited by Content-Length alone: a request carrying
@@ -68,15 +68,9 @@ from .attestation import AttestationToken
 from .errors import (
     AdminAuthFailure,
     AgentEsimError,
-    DuplicateProfile,
     GatewayDenied,
-    IllegalTransition,
-    InvalidPolicy,
     InvalidProfile,
     MalformedRequest,
-    StorageFailure,
-    UnknownProfile,
-    VaultError,
     WireFormatError,
 )
 from .gateway import IdentityGateway
@@ -104,19 +98,6 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _TOKEN = r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
 _FIELD_NAME = re.compile(_TOKEN)
 _REQUEST_LINE = re.compile(rf"({_TOKEN}) (\S+) HTTP/1\.([01])")
-
-_STATUS_FOR = {
-    UnknownProfile: 404,
-    InvalidPolicy: 400,
-    InvalidProfile: 400,
-    MalformedRequest: 400,
-    WireFormatError: 400,
-    DuplicateProfile: 409,
-    IllegalTransition: 409,
-    AdminAuthFailure: 401,
-    StorageFailure: 503,
-    VaultError: 503,
-}
 
 
 # -- message framing, shared by the server and the client ---------------------------
@@ -202,17 +183,15 @@ def body_length(headers: dict[str, str]) -> int | None:
     return int(text)
 
 
-def _hex_field(body: dict, name: str, length: int | None = None) -> bytes:
+def _hex_field(body: dict, name: str) -> bytes:
+    """Decodes only; the gateway checks the length of what it uses."""
     value = body.get(name)
     if not isinstance(value, str):
         raise MalformedRequest(f"missing or non-string field: {name}")
     try:
-        raw = bytes.fromhex(value)
+        return bytes.fromhex(value)
     except ValueError as err:
         raise MalformedRequest(f"field {name} is not valid hex") from err
-    if length is not None and len(raw) != length:
-        raise MalformedRequest(f"field {name} must be {length} bytes")
-    return raw
 
 
 def _str_field(body: dict, name: str) -> str:
@@ -267,9 +246,7 @@ class _Handler(socketserver.StreamRequestHandler):
     """Serves one connection: reads its requests one after another and
     answers each in one write, until either end closes it."""
 
-    # bound by the server factory
-    gateway: IdentityGateway
-    admin_secret: str
+    server: GatewayHTTPServer
 
     # (method, path) -> endpoint; GET /identity/status/{profile_id} goes by prefix
     _ROUTES = {
@@ -374,23 +351,23 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _require_admin(self) -> None:
         supplied = self.headers.get(ADMIN_SECRET_HEADER.lower()) or ""
-        if not self.admin_secret or not hmac.compare_digest(supplied, self.admin_secret):
+        secret = self.server.admin_secret
+        if not secret or not hmac.compare_digest(supplied, secret):
             raise AdminAuthFailure("admin secret missing or wrong")
 
     def _send_error(self, err: Exception) -> None:
+        status = err.status if isinstance(err, AgentEsimError) else 500
+        headers = {}
         if isinstance(err, GatewayDenied):
-            headers = {}
             payload = {"error": "denied", "reason": err.reason.value}
             if err.retry_after is not None:
                 payload["retry_after"] = int(err.retry_after)
                 headers["Retry-After"] = str(int(err.retry_after))
-            self._send(403, payload, headers)
-            return
-        status = _STATUS_FOR.get(type(err), 500 if not isinstance(err, AgentEsimError) else 400)
-        payload = {"error": type(err).__name__, "message": str(err)}
-        if isinstance(err, InvalidProfile):
-            payload["field"] = err.field
-        self._send(status, payload)
+        else:
+            payload = {"error": type(err).__name__, "message": str(err)}
+            if isinstance(err, InvalidProfile):
+                payload["field"] = err.field
+        self._send(status, payload, headers)
 
     def _dispatch(self, handler) -> None:
         """Send the endpoint's payload with 200, or its failure as an error."""
@@ -403,35 +380,32 @@ class _Handler(socketserver.StreamRequestHandler):
 
     # -- endpoint bodies -----------------------------------------------------------
 
-    def _source(self) -> str:
-        return self.client_address[0]
-
     def _post_sign(self):
         body = self._body()
-        return self.gateway.handle_sign(
+        return self.server.gateway.handle_sign(
             _profile_id(body.get("profile_id")),
-            _hex_field(body, "payload_digest", 32),
+            _hex_field(body, "payload_digest"),
             self._attestation(),
-            self._source(),
+            self.client_address[0],
         )
 
     def _post_authenticate(self):
         body = self._body()
-        outcome = self.gateway.handle_authenticate(
+        outcome = self.server.gateway.handle_authenticate(
             _profile_id(body.get("profile_id")),
-            _hex_field(body, "rand", 16),
-            _hex_field(body, "autn", 16),
+            _hex_field(body, "rand"),
+            _hex_field(body, "autn"),
             self._attestation(),
-            self._source(),
+            self.client_address[0],
         )
         return aka_outcome_to_json(outcome)
 
     def _get_status(self, profile_id: str):
-        return self.gateway.handle_status(_profile_id(profile_id), self._attestation())
+        return self.server.gateway.handle_status(_profile_id(profile_id), self._attestation())
 
     def _post_provision(self):
         self._require_admin()
-        return self.gateway.admin_provision(*provision_request_from_json(self._body()))
+        return self.server.gateway.admin_provision(*provision_request_from_json(self._body()))
 
     def _post_revoke(self):
         self._require_admin()
@@ -439,7 +413,7 @@ class _Handler(socketserver.StreamRequestHandler):
         reason = body.get("reason")
         if not isinstance(reason, (str, type(None))):
             raise MalformedRequest("field reason must be a string")
-        previous = self.gateway.revoke_profile(
+        previous = self.server.gateway.revoke_profile(
             _profile_id(body.get("profile_id")), reason or "unspecified"
         )
         return {"previous_state": previous.value, "state": "Revoked"}
@@ -447,34 +421,49 @@ class _Handler(socketserver.StreamRequestHandler):
     def _post_lifecycle(self):
         self._require_admin()
         body = self._body()
-        return self.gateway.lifecycle(_profile_id(body.get("profile_id")), _str_field(body, "action"))
+        profile_id = _profile_id(body.get("profile_id"))
+        return self.server.gateway.lifecycle(profile_id, _str_field(body, "action"))
 
     def _post_policy(self):
         self._require_admin()
         body = self._body()
         policy = DelegationPolicy.from_json(body.get("policy") or {})
-        previous = self.gateway.update_policy(_profile_id(body.get("profile_id")), policy)
+        previous = self.server.gateway.update_policy(_profile_id(body.get("profile_id")), policy)
         return {"previous_policy_id": previous, "policy_id": policy.policy_id}
 
     def _get_audit_verify(self):
-        return self.gateway.verify_audit().to_json()
+        return self.server.gateway.verify_audit().to_json()
 
     def _get_health(self):
         return {"ok": True}
 
 
-class _ConnectionServer(socketserver.ThreadingTCPServer):
-    """Runs each connection on its own daemon thread, up to MAX_CONNECTIONS
-    at once, and keeps each open connection with its thread, so
-    `close_connections` can end them."""
+class GatewayHTTPServer(socketserver.ThreadingTCPServer):
+    """Threaded HTTP front end: `start` runs the accept loop on a daemon
+    thread, and each open connection, up to MAX_CONNECTIONS, runs on a daemon
+    thread of its own, kept with it so that `stop` can end them all.
+    `stack.serving` is the one way the program runs a state directory
+    through it."""
 
     allow_reuse_address = True
 
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
+    def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
+        super().__init__((host, port), _Handler)
+        self.gateway = gateway
+        self.admin_secret = admin_secret
         self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
         self._date = (0, "")
+        self._thread: threading.Thread | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
 
     def http_date(self) -> str:
         """The Date header value, formatted once per second."""
@@ -508,11 +497,23 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
             self._open.pop(request, None)
         super().shutdown_request(request)
 
-    def close_connections(self, timeout: float) -> None:
-        """Shut down the reading side of every open connection and wait up
-        to `timeout` seconds for their threads: a thread waiting for the next
-        request reads end of file, and one mid-request sends its response
-        first."""
+    def start(self) -> None:
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, name="gateway-http",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Stop accepting, then shut down the reading side of every open
+        connection and wait up to 5 s for their threads: a thread waiting
+        for the next request reads end of file, and one mid-request sends
+        its response first."""
+        if self._thread is not None:  # `shutdown` waits for a loop that ran
+            self.shutdown()
+            self._thread.join(timeout=5)
+            self._thread = None
+        self.server_close()
         with self._open_lock:
             held = list(self._open.items())
         for conn, _ in held:
@@ -521,45 +522,4 @@ class _ConnectionServer(socketserver.ThreadingTCPServer):
             except OSError:  # already closed by its own thread
                 pass
         for _, thread in held:
-            thread.join(timeout)
-
-
-class GatewayHTTPServer:
-    """Threaded HTTP front end: `start` runs the accept loop on a daemon
-    thread, with one more thread per open connection, up to MAX_CONNECTIONS;
-    `stop` ends them all. `stack.serving` is the one way the program runs a
-    state directory through it."""
-
-    def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
-        handler = type(
-            "BoundHandler", (_Handler,), {"gateway": gateway, "admin_secret": admin_secret}
-        )
-        self._httpd = _ConnectionServer((host, port), handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="gateway-http",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop accepting, then end every open connection and its thread."""
-        if self._thread is not None:  # `shutdown` waits for a loop that ran
-            self._httpd.shutdown()
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._httpd.server_close()
-        self._httpd.close_connections(timeout=5)
+            thread.join(5)

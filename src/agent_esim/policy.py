@@ -42,7 +42,9 @@ class GatewayOp(enum.Enum):
     STATUS = "Status"
 
 
-class DenyReason(enum.Enum):
+class DenyReason(str, enum.Enum):
+    """A member equals its value (`RateLimit`); format it with `.value`."""
+
     PROFILE_STATE = "ProfileState"
     ATTESTATION = "Attestation"
     POLICY_VALIDITY = "PolicyValidity"

@@ -38,7 +38,7 @@ from .agent import (
 from .attestation import SoftwareRootOfTrust
 from .client import AdminClient, GatewayClient
 from .config import ServiceConfig
-from .errors import DeniedByGateway, UnknownScenario
+from .errors import GatewayDenied, UnknownScenario
 from .policy import DelegationPolicy, GatewayOp, RateLimit, Validity
 from .httpapi import GatewayHTTPServer
 from .stack import ServiceStack, serving
@@ -187,13 +187,13 @@ def _run_enterprise_alert(env: _ScenarioEnv, config: dict, report: ScenarioRepor
             send_signed_message(agent, payload)
             allowed += 1
             _digest_step(report, agent, "send_alert", digest, "allowed")
-        except DeniedByGateway as denial:
+        except GatewayDenied as denial:
             denied_rate += denial.reason == "RateLimit"
-            _digest_step(report, agent, "send_alert", digest, f"denied:{denial.reason}")
+            _digest_step(report, agent, "send_alert", digest, f"denied:{denial.reason.value}")
     try:
         agent_authenticate(agent, env.relying)
         role_denied = False
-    except DeniedByGateway as denial:
+    except GatewayDenied as denial:
         role_denied = denial.reason == "OpPermission"
     report.step("attempt_authenticate", outcome="denied:OpPermission" if role_denied else "unexpected")
     report.counts.update(
@@ -236,12 +236,12 @@ def _run_finance_drill(env: _ScenarioEnv, config: dict, report: ScenarioReport) 
     for i in range(after):
         try:
             send_signed_message(agent, f"post-revocation {i}".encode())
-        except DeniedByGateway as denial:
+        except GatewayDenied as denial:
             denied += denial.reason == "ProfileState"
             _digest_step(
                 report, agent, "sign_after_revoke",
                 hashlib.sha256(f"post-revocation {i}".encode()).digest(),
-                f"denied:{denial.reason}",
+                f"denied:{denial.reason.value}",
             )
     stale = verify_peer_message(messages[0], verifier)
     report.step("verify_after_revoke", valid=stale.valid, sender_state=stale.sender_state)
@@ -283,8 +283,8 @@ def _run_marketplace(env: _ScenarioEnv, config: dict, report: ScenarioReport) ->
     try:
         send_signed_message(victim, b"tampered offer")
         compromise_denied = None
-    except DeniedByGateway as denial:
-        compromise_denied = denial.reason
+    except GatewayDenied as denial:
+        compromise_denied = denial.reason.value
     report.step(
         "compromised_publish", agent=victim.agent_id,
         outcome=f"denied:{compromise_denied}",

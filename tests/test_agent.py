@@ -14,7 +14,7 @@ from agent_esim.agent import (
     verify_peer_message,
 )
 from agent_esim.client import AdminClient, GatewayClient
-from agent_esim.errors import DeniedByGateway
+from agent_esim.errors import GatewayDenied
 from agent_esim.httpapi import GatewayHTTPServer
 from agent_esim.netcore import NetworkCore
 from agent_esim.wire import scan_for_secrets
@@ -78,7 +78,7 @@ def test_agent_with_unlisted_measurement_denied(env):
     agent, _ = make_agent(stack, server)
     agent.measurement = secrets.token_bytes(32)  # drifted code identity
     relying = RelyingService(stack.netcore)
-    with pytest.raises(DeniedByGateway) as exc:
+    with pytest.raises(GatewayDenied) as exc:
         agent_authenticate(agent, relying)
     assert exc.value.reason == "MeasurementMatch"
 
@@ -151,7 +151,7 @@ def test_revoked_sender_message_denied_at_send(env):
     stack, server = env
     agent, _ = make_agent(stack, server)
     AdminClient(server.base_url, ADMIN_SECRET).revoke(agent.profile_id, "gone")
-    with pytest.raises(DeniedByGateway) as exc:
+    with pytest.raises(GatewayDenied) as exc:
         send_signed_message(agent, b"too late")
     assert exc.value.reason == "ProfileState"
 

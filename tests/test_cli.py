@@ -214,6 +214,16 @@ def test_bad_config_key_named_in_error(tmp_path, capsys):
     assert "listen_adress" in err
 
 
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_serve_on_a_port_out_of_range_is_one_error_line(tmp_path, capsys, port):
+    config = tmp_path / "service.json"
+    config.write_text(json.dumps({"state_dir": "s", "listen_address": f"127.0.0.1:{port}"}))
+    code, _, err = run_cli(capsys, "--config", str(config), "serve")
+    assert code == 1
+    assert err.splitlines() == [f"error: config key listen_address has a bad port: '{port}'"]
+    assert not (tmp_path / "s").exists()
+
+
 def _free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

@@ -42,6 +42,8 @@ def test_full_config(tmp_path):
     assert config.default_policy.policy_id == "default"
     assert config.imsi_prefix == "99970"
     assert config.operator_op == bytes.fromhex("cd" * 16)
+    assert (config.iccid_prefix, config.sqn_step) == ("8999", 2)
+    assert config.challenge_ttl_seconds == 15.0 and type(config.challenge_ttl_seconds) is float
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -104,3 +106,32 @@ def test_default_policy_is_read_without_coercion():
     document["rate_limit"]["max_ops"] = "5"
     with pytest.raises(InvalidPolicy, match="max_ops"):
         config_from_dict({"state_dir": "s", "default_policy": document})
+
+
+WRONG_VALUES = {
+    "state_dir": [5, None, ["s"]],
+    "sqn_step": [2.9, True, False, 0, -1, "2", None],
+    "challenge_ttl_seconds": ["15", -5, 0, float("nan"), float("inf"), True, None],
+    "imsi_prefix": [99970, None, ["99970"]],
+    "iccid_prefix": [8999, None],
+    "listen_address": ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:+80",
+                       "127.0.0.1: 80", "127.0.0.1:"],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key, values in WRONG_VALUES.items() for value in values],
+    ids=[f"{key}={value!r}" for key, values in WRONG_VALUES.items() for value in values],
+)
+def test_a_wrong_type_or_range_is_refused_by_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"state_dir": "s", key: value})
+    # the same document from a file: Python's JSON reader accepts NaN and Infinity
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, {"state_dir": "s", key: value}))
+
+
+@pytest.mark.parametrize("address, port", [("0.0.0.0:65535", 65535), ("localhost:0", 0)])
+def test_ports_at_the_ends_of_the_range_load(address, port):
+    assert config_from_dict({"state_dir": "s", "listen_address": address}).listen_port == port

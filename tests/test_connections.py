@@ -198,9 +198,9 @@ def test_stop_ends_kept_connections(tmp_path):
 
 def _wait_until_no_connection_is_open(server):
     deadline = time.monotonic() + 10
-    while server._httpd._open and time.monotonic() < deadline:
+    while server._open and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not server._httpd._open
+    assert not server._open
 
 
 def test_connections_past_the_cap_are_refused_without_a_thread(served, monkeypatch):  # noqa: F811

@@ -9,11 +9,21 @@ from agent_esim.audit import AuditOperation, load_audit_records, verify_audit_fi
 from agent_esim.client import AdminClient, GatewayClient
 from agent_esim.errors import (
     AdminAuthFailure,
-    DeniedByGateway,
+    AgentEsimError,
+    DuplicateProfile,
+    GatewayDenied,
+    IllegalTransition,
+    InvalidPolicy,
+    InvalidProfile,
+    MalformedRequest,
+    ProfileNotActive,
+    StorageFailure,
     UnknownProfile,
+    VaultError,
+    WireFormatError,
 )
 from agent_esim.httpapi import MAX_PROFILE_ID_CHARS, GatewayHTTPServer
-from agent_esim.policy import permissive_policy
+from agent_esim.policy import DelegationPolicy, DenyReason, GatewayOp, permissive_policy
 from agent_esim.vault import ProfileState
 from agent_esim.wire import request_digest, scan_for_secrets
 
@@ -89,7 +99,7 @@ def test_denied_maps_to_403_with_reason(served):
     client = GatewayClient(server.base_url)
     measurement = secrets.token_bytes(32)
     created = admin.provision(provision_document(measurement))
-    with pytest.raises(DeniedByGateway) as exc:
+    with pytest.raises(GatewayDenied) as exc:
         client.sign(created["profile_id"], bytes(32), None)  # no attestation header
     assert exc.value.reason == "Attestation"
 
@@ -113,6 +123,117 @@ def test_rate_limit_denial_carries_retry_after(served):
     assert status == 403
     assert body["reason"] == "RateLimit"
     assert body["retry_after"] >= 1
+
+
+def denial_policy(reason: DenyReason) -> DelegationPolicy:
+    """A policy under which an attested sign is denied for `reason`, when
+    the policy is where that check looks."""
+    if reason is DenyReason.POLICY_VALIDITY:
+        return permissive_policy(not_before=1.0, lifetime_seconds=1.0)
+    if reason is DenyReason.OP_PERMISSION:
+        return permissive_policy(ops=[GatewayOp.STATUS])
+    if reason is DenyReason.CIDR_SCOPE:
+        return DelegationPolicy.from_json(
+            dict(permissive_policy().to_json(), cidr_allowlist=["10.0.0.0/8"])
+        )
+    if reason is DenyReason.RATE_LIMIT:
+        return permissive_policy(max_ops=1, window_seconds=60)
+    return permissive_policy()
+
+
+@pytest.mark.parametrize("reason", list(DenyReason), ids=lambda reason: reason.value)
+def test_each_denial_reaches_the_client_as_gateway_denied(served, reason):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    client = GatewayClient(server.base_url)
+    measurement = secrets.token_bytes(32)
+    pid = admin.provision(provision_document(measurement, denial_policy(reason)))["profile_id"]
+    token = stack.token_for(
+        secrets.token_bytes(32) if reason is DenyReason.MEASUREMENT_MATCH else measurement
+    )
+    if reason is DenyReason.ATTESTATION:
+        token = None
+    if reason is DenyReason.PROFILE_STATE:
+        admin.lifecycle(pid, "suspend")
+    if reason is DenyReason.RATE_LIMIT:
+        client.sign(pid, bytes(32), token)
+    with pytest.raises(GatewayDenied) as exc:
+        client.sign(pid, bytes(32), token)
+    denial = exc.value
+    assert denial.reason is reason
+    assert denial.reason == reason.value and isinstance(denial.reason, str)
+    assert str(denial) == f"denied: {reason.value}"
+    if reason is DenyReason.RATE_LIMIT:
+        assert 1 <= denial.retry_after <= 60
+    else:
+        assert denial.retry_after is None
+    assert load_audit_records(stack.audit.path)[-1].outcome.detail == reason.value
+
+
+EDGE_ERRORS = [
+    (UnknownProfile("x"), 404),
+    (DuplicateProfile("x"), 409),
+    (IllegalTransition(ProfileState.REVOKED, ProfileState.ACTIVE), 409),
+    (AdminAuthFailure("x"), 401),
+    (StorageFailure("x"), 503),
+    (VaultError("x"), 503),
+    (MalformedRequest("x"), 400),
+    (InvalidPolicy("x"), 400),
+    (InvalidProfile("binding.x"), 400),
+    (WireFormatError("x"), 400),
+    (ProfileNotActive(ProfileState.SUSPENDED), 400),
+    (AgentEsimError("x"), 400),
+    (GatewayDenied(DenyReason.RATE_LIMIT, retry_after=7), 403),
+    (RuntimeError("x"), 500),
+    (KeyError("x"), 500),
+]
+
+
+@pytest.mark.parametrize(
+    "err, status", EDGE_ERRORS, ids=[type(err).__name__ for err, _ in EDGE_ERRORS]
+)
+def test_each_error_class_answers_its_status(served, monkeypatch, err, status):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+
+    def fail():
+        raise err
+
+    monkeypatch.setattr(stack.gateway, "verify_audit", fail)
+    answer, body, _ = admin.request("GET", "/admin/audit/verify", None,
+                                    {"X-Admin-Secret": ADMIN_SECRET})
+    if isinstance(err, GatewayDenied):
+        assert (answer, body) == (403, {"error": "denied", "reason": "RateLimit", "retry_after": 7})
+    else:
+        assert (answer, body["error"]) == (status, type(err).__name__)
+    if isinstance(err, AgentEsimError):
+        assert type(err).status == status
+
+
+@pytest.mark.parametrize(
+    "path, fields",
+    [
+        ("/identity/sign", {"payload_digest": "ab" * 31}),
+        ("/identity/sign", {"payload_digest": "ab" * 33}),
+        ("/identity/sign", {"payload_digest": ""}),
+        ("/identity/authenticate", {"rand": "00" * 15, "autn": "00" * 16}),
+        ("/identity/authenticate", {"rand": "00" * 16, "autn": "00" * 17}),
+    ],
+    ids=["digest-31", "digest-33", "digest-empty", "rand-15", "autn-17"],
+)
+def test_a_field_of_the_wrong_length_answers_400_unaudited(served, path, fields):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    measurement = secrets.token_bytes(32)
+    pid = admin.provision(provision_document(measurement))["profile_id"]
+    before = state_files(stack)
+    status, body, _ = admin.request(
+        "POST", path, dict(fields, profile_id=pid),
+        {"X-Attestation-Token": stack.token_for(measurement).to_header()},
+    )
+    assert (status, body["error"]) == (400, "MalformedRequest")
+    assert "must be" in body["message"]
+    assert state_files(stack) == before
 
 
 @pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no-manifest"])
@@ -267,7 +388,7 @@ def test_policy_update_over_wire(served):
     assert result["policy_id"] == "tight"
     token = stack.token_for(measurement)
     client.sign(created["profile_id"], bytes(32), token)
-    with pytest.raises(DeniedByGateway) as exc:
+    with pytest.raises(GatewayDenied) as exc:
         client.sign(created["profile_id"], bytes(32), token)
     assert exc.value.reason == "RateLimit"
     # invalid policy document -> 400

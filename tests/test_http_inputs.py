@@ -101,6 +101,8 @@ def test_no_generated_document_gets_a_5xx(tmp_path):
     @example((("/admin/policy", ("policy", "rate_limit")), {"max_ops": 0, "window_seconds": 1e400}))
     @example((("/identity/sign", ("profile_id",)), "esim-\ud800"))
     @example((("/admin/provision", ("enterprise_namespace",)), "acme/\udfff"))
+    # two lone surrogates that JSON writes as one escaped pair, which reads back as U+10000
+    @example((("/admin/provision", None), {"\ud800\udc00": None}))
     def post(request):
         target, value = request
         measurement = secrets.token_bytes(32)
@@ -116,8 +118,8 @@ def test_no_generated_document_gets_a_5xx(tmp_path):
         else:
             document = valid_documents(profile_id, measurement)[path]
             document = with_value(document, field, value) if field else value
-            refused = holds_a_lone_surrogate(document)
             body = json.dumps(document).encode()  # ASCII: a surrogate goes as \ud800
+            refused = holds_a_lone_surrogate(json.loads(body))  # as the server reads it
             raw.request("POST", path, body, {"Content-Type": "application/json", **headers})
         response = raw.getresponse()
         answer = json.loads(response.read())

@@ -64,3 +64,17 @@ def test_report_text_rendering():
     text = report.render_text()
     assert "scenario: enterprise-alert-agent" in text
     assert "result: PASS" in text
+
+
+@pytest.mark.parametrize(
+    "name, step, outcome",
+    [
+        ("enterprise-alert-agent", "send_alert", "denied:RateLimit"),
+        ("finance-decision-agent", "sign_after_revoke", "denied:ProfileState"),
+        ("agent-marketplace", "compromised_publish", "denied:MeasurementMatch"),
+    ],
+)
+def test_denied_steps_name_the_reason_by_its_value(name, step, outcome):
+    report = run_scenario(name)
+    assert outcome in [entry["outcome"] for entry in report.steps if entry["step"] == step]
+    assert "DenyReason" not in report.render_text() + json.dumps(report.to_json())
