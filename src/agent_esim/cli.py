@@ -12,11 +12,11 @@
 
 Admin commands run in one of two modes, both through the same HTTP
 endpoints and `AdminClient`: against a running service (--endpoint URL,
-authenticated with the admin secret from $AGENT_ESIM_ADMIN_SECRET or the
-config file), or directly on a state directory (--state-dir / config
-state_dir), which the command serves on a loopback port for its own
-duration, under a one-off secret, through the same locked start-up as
-`serve`; it is refused while another process serves that directory.
+under the secret `config.resolve_admin_secret` gives, as `serve` is), or
+directly on a state directory (--state-dir / config state_dir), which the
+command serves on a loopback port for its own duration, under a one-off
+secret, through the same locked start-up as `serve`; it is refused while
+another process serves that directory.
 Exit codes: 0 success, 1 domain error, 2 usage error. Secret key material
 never appears on stdout; only public profile fields are printed.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import signal
 import sys
@@ -36,7 +35,7 @@ from typing import Iterator
 from . import scenarios
 from .audit import verify_audit_file
 from .client import AdminClient
-from .config import ADMIN_SECRET_ENV, ServiceConfig, load_config
+from .config import ServiceConfig, load_config, resolve_admin_secret
 from .errors import AgentEsimError, ConfigError
 from .stack import serving
 
@@ -109,15 +108,6 @@ def _load_service_config(args) -> ServiceConfig | None:
     return None
 
 
-def _admin_secret(config: ServiceConfig | None) -> str:
-    secret = os.environ.get(ADMIN_SECRET_ENV)
-    if secret:
-        return secret
-    if config is not None:
-        return config.resolve_admin_secret()
-    raise ConfigError(f"no admin credential: set {ADMIN_SECRET_ENV} or use --config")
-
-
 @contextmanager
 def _admin(args) -> Iterator[AdminClient]:
     """The command's one admin path: a client of --endpoint, or of the
@@ -125,7 +115,7 @@ def _admin(args) -> Iterator[AdminClient]:
     fresh secret that never leaves the process."""
     config = _load_service_config(args)
     if args.endpoint:
-        with AdminClient(args.endpoint, _admin_secret(config)) as admin:
+        with AdminClient(args.endpoint, resolve_admin_secret(config)) as admin:
             yield admin
     elif config is not None:
         secret = secrets.token_urlsafe(32)
@@ -140,7 +130,7 @@ def _cmd_serve(args) -> int:
     if not args.config:
         raise ConfigError("serve requires --config")
     config = _load_service_config(args)
-    secret = _admin_secret(config)
+    secret = resolve_admin_secret(config)
     with serving(config, config.listen_host, config.listen_port, secret) as (_, server):
         signal.signal(signal.SIGTERM, signal.default_int_handler)
         host, port = server.address

@@ -6,8 +6,9 @@ wrong JSON type or out of range by its key, never converted):
 
     listen_address       "host:port" the gateway HTTP server binds; port 0-65535
     state_dir            directory holding every persisted log (a string; required)
-    admin_secret         shared admin credential (the AGENT_ESIM_ADMIN_SECRET
-                         environment variable overrides it)
+    admin_secret         shared admin credential, printable ASCII (the
+                         AGENT_ESIM_ADMIN_SECRET environment variable overrides
+                         it; `resolve_admin_secret` reads and checks both)
     attestation_roots    [{"root_id": ..., "public_key": <hex>}, ...]; each key
                          is a 32-byte Ed25519 public key
     default_policy       policy document applied when provisioning omits one
@@ -61,13 +62,17 @@ class ServiceConfig:
     sqn_step: int = 1
     operator_op: bytes | None = None
 
-    def resolve_admin_secret(self) -> str:
-        secret = os.environ.get(ADMIN_SECRET_ENV) or self.admin_secret
-        if not secret:
-            raise ConfigError(
-                f"no admin credential: set the admin_secret config key or {ADMIN_SECRET_ENV}"
-            )
-        return secret
+
+def resolve_admin_secret(config: ServiceConfig | None) -> str:
+    """$AGENT_ESIM_ADMIN_SECRET, else the config's `admin_secret`: a
+    non-empty printable-ASCII string, the only kind a header carries."""
+    secret = os.environ.get(ADMIN_SECRET_ENV) or (config.admin_secret if config else None)
+    where = f"the admin_secret config key or {ADMIN_SECRET_ENV}"
+    if secret is None:
+        raise ConfigError(f"no admin credential: set {where}")
+    if not (isinstance(secret, str) and secret and secret.isascii() and secret.isprintable()):
+        raise ConfigError(f"the admin secret ({where}) must be a non-empty printable-ASCII string")
+    return secret
 
 
 def _parse_listen_address(value: str) -> tuple[str, int]:

@@ -7,8 +7,9 @@ X-Attestation-Token header):
     POST /identity/authenticate    {profile_id, rand, autn}
     GET  /identity/status/{profile_id}
 
-Admin endpoints require the shared admin secret in X-Admin-Secret (the
-desk-scale stand-in for a mutually authenticated channel):
+Every path under /admin/ requires the shared admin secret, printable ASCII,
+in X-Admin-Secret (the desk-scale stand-in for a mutually authenticated
+channel); without it a request answers 401 before its body is decoded:
 
     POST /admin/provision          provisioning request document
     POST /admin/revoke             {profile_id, reason}
@@ -29,10 +30,11 @@ HTTP subset. The server speaks HTTP/1.1 and answers HTTP/1.0 requests too.
 A request body is delimited by Content-Length alone: a request carrying
 Transfer-Encoding gets 501, and Content-Length values that differ get 400
 (RFC 9112 section 6.3). A request line or header line over MAX_LINE_BYTES,
-or more than MAX_HEADERS header lines, gets 431; a malformed request line or
-header line gets 400; a body over MAX_BODY_BYTES gets 400. Each of these
-refusals is one JSON error with `Connection: close`, runs no handler, and
-ends the connection, because where the next request would start is unknown.
+more than MAX_HEADERS header lines, or a head over MAX_HEAD_BYTES in all,
+gets 431; a malformed request line or header line gets 400; a body over
+MAX_BODY_BYTES gets 400. Each of these refusals is one JSON error with
+`Connection: close`, runs no handler, and ends the connection, because
+where the next request would start is unknown.
 `Expect: 100-continue` gets an interim `100 Continue` before the body is
 read. Server and client read a message head through one function,
 `read_head`, and a body length through one, `body_length`.
@@ -86,9 +88,12 @@ IDLE_TIMEOUT_S = 15.0
 MAX_CONNECTIONS = 256
 # Largest message body either end reads; a bigger request is refused unread.
 MAX_BODY_BYTES = 1 << 20
-# Longest start line or header line, and most header lines, in a message head.
+# Longest start line or header line, most header lines, and most bytes in all,
+# in a message head. The largest head the tests, scenarios and benchmark send
+# is 578 bytes; the total admits one full line after a request line.
 MAX_LINE_BYTES = 8192
 MAX_HEADERS = 64
+MAX_HEAD_BYTES = 2 * MAX_LINE_BYTES
 # Longest profile id a request may name; issued ids have 17 characters.
 MAX_PROFILE_ID_CHARS = 64
 
@@ -143,15 +148,20 @@ def read_head(rfile) -> tuple[str, dict[str, str]] | None:
     buffered binary stream. Returns the start line and the headers, names
     lowercased and repeated fields joined by ", ", or None when the stream
     ends before the head's first byte. Raises FramingError for a line over
-    MAX_LINE_BYTES, more than MAX_HEADERS header lines, a malformed header
-    line or a head cut short."""
+    MAX_LINE_BYTES, more than MAX_HEADERS header lines, a head over
+    MAX_HEAD_BYTES, a malformed header line or a head cut short."""
     raw = rfile.readline(MAX_LINE_BYTES + 1)
     if not raw:
         return None
     start_line = _head_line(raw).rstrip("\r\n")
+    size = len(raw)
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
-        line = _head_line(rfile.readline(MAX_LINE_BYTES + 1))
+        raw = rfile.readline(MAX_LINE_BYTES + 1)
+        line = _head_line(raw)
+        size += len(raw)
+        if size > MAX_HEAD_BYTES:
+            raise FramingError(f"a head is over {MAX_HEAD_BYTES} bytes", 431, "HeadTooLarge")
         if line == "\r\n" or line == "\n":
             return start_line, headers
         name, colon, value = line.partition(":")
@@ -349,12 +359,6 @@ class _Handler(socketserver.StreamRequestHandler):
         except WireFormatError:
             return None  # undecodable token fails the attestation check downstream
 
-    def _require_admin(self) -> None:
-        supplied = self.headers.get(ADMIN_SECRET_HEADER.lower()) or ""
-        secret = self.server.admin_secret
-        if not secret or not hmac.compare_digest(supplied, secret):
-            raise AdminAuthFailure("admin secret missing or wrong")
-
     def _send_error(self, err: Exception) -> None:
         status = err.status if isinstance(err, AgentEsimError) else 500
         headers = {}
@@ -370,8 +374,13 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send(status, payload, headers)
 
     def _dispatch(self, handler) -> None:
-        """Send the endpoint's payload with 200, or its failure as an error."""
+        """Send the endpoint's payload with 200, or its failure as an error;
+        a path under /admin/ needs the admin secret before its endpoint runs."""
         try:
+            if self.path.startswith("/admin/"):  # the header's bytes, as read (Latin-1)
+                supplied = self.headers.get(ADMIN_SECRET_HEADER.lower(), "").encode("latin-1")
+                if not supplied or not hmac.compare_digest(supplied, self.server.admin_secret):
+                    raise AdminAuthFailure("admin secret missing or wrong")
             payload = handler()
         except Exception as err:  # every failure maps to a JSON error response
             self._send_error(err)
@@ -404,11 +413,9 @@ class _Handler(socketserver.StreamRequestHandler):
         return self.server.gateway.handle_status(_profile_id(profile_id), self._attestation())
 
     def _post_provision(self):
-        self._require_admin()
         return self.server.gateway.admin_provision(*provision_request_from_json(self._body()))
 
     def _post_revoke(self):
-        self._require_admin()
         body = self._body()
         reason = body.get("reason")
         if not isinstance(reason, (str, type(None))):
@@ -419,13 +426,11 @@ class _Handler(socketserver.StreamRequestHandler):
         return {"previous_state": previous.value, "state": "Revoked"}
 
     def _post_lifecycle(self):
-        self._require_admin()
         body = self._body()
         profile_id = _profile_id(body.get("profile_id"))
         return self.server.gateway.lifecycle(profile_id, _str_field(body, "action"))
 
     def _post_policy(self):
-        self._require_admin()
         body = self._body()
         policy = DelegationPolicy.from_json(body.get("policy") or {})
         previous = self.server.gateway.update_policy(_profile_id(body.get("profile_id")), policy)
@@ -450,7 +455,7 @@ class GatewayHTTPServer(socketserver.ThreadingTCPServer):
     def __init__(self, gateway: IdentityGateway, host: str, port: int, admin_secret: str):
         super().__init__((host, port), _Handler)
         self.gateway = gateway
-        self.admin_secret = admin_secret
+        self.admin_secret = admin_secret.encode("ascii")  # what the header check compares
         self._open: dict[socket.socket, threading.Thread] = {}
         self._open_lock = threading.Lock()
         self._date = (0, "")

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .audit import AuditLog
-from .config import ServiceConfig
+from .config import ServiceConfig, resolve_admin_secret
 from .errors import StorageFailure
 from .gateway import IdentityGateway
 from .httpapi import GatewayHTTPServer
@@ -46,7 +46,7 @@ class ServiceStack:
     opened: ExitStack  # closes the stores, last opened first
 
     def build_server(self, *, admin_secret: str | None = None) -> GatewayHTTPServer:
-        secret = admin_secret or self.config.resolve_admin_secret()
+        secret = admin_secret or resolve_admin_secret(self.config)
         return GatewayHTTPServer(
             self.gateway, self.config.listen_host, self.config.listen_port, secret
         )

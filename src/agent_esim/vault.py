@@ -37,6 +37,7 @@ from .errors import (
     IllegalTransition,
     InvalidProfile,
     ProfileNotActive,
+    StorageFailure,
     UnknownProfile,
 )
 from .identifiers import validate_iccid, validate_imsi
@@ -107,6 +108,8 @@ class BindingMetadata:
         object.__setattr__(
             self, "expected_measurements", frozenset(self.expected_measurements)
         )
+        if len(self.agent_public_key) != 32:
+            raise InvalidProfile("binding.agent_public_key", "agent public key must be 32 bytes")
         if not self.expected_measurements:
             raise InvalidProfile(
                 "binding.expected_measurements", "at least one measurement required"
@@ -191,18 +194,24 @@ class SimVault:
         self._by_imsi: dict[str, SimProfile] = {}
         self._iccids: set[str] = set()
         self._lock = threading.Lock()
+        self.path = Path(state_dir) / "vault.log"
         self._log = RecordLog(
-            Path(state_dir) / "vault.log", VAULT_HEADER, self._apply,
+            self.path, VAULT_HEADER, self._apply,
             sync=sync, snapshot=self._snapshot,
         )
 
     # -- persistence ---------------------------------------------------------
 
     def _apply(self, rec: dict) -> None:
-        """The only writer of profile state: live appends and restart alike."""
+        """The only writer of profile state: live appends and restart alike.
+        A stored binding that the check refuses stops the open."""
         kind = rec["type"]
         if kind == "install":
-            profile = _profile_from_record(rec["profile"])
+            try:
+                profile = _profile_from_record(rec["profile"])
+            except InvalidProfile as err:
+                profile_id = rec["profile"]["profile_id"]
+                raise StorageFailure(f"{self.path}: profile {profile_id}: {err}") from err
             self._profiles[profile.profile_id] = profile
             self._by_imsi[profile.imsi] = profile
             self._iccids.add(profile.iccid)

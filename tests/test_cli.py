@@ -1,7 +1,9 @@
 """CLI behavior: both direct-admin and live-endpoint modes, exit codes, hygiene."""
 
 import json
+import re
 import secrets
+import signal
 import socket
 import subprocess
 import sys
@@ -11,11 +13,17 @@ from pathlib import Path
 
 import pytest
 
+from agent_esim.agent import AgentRuntime, RelyingService, agent_authenticate
+from agent_esim.attestation import SoftwareRootOfTrust
 from agent_esim.audit import load_audit_records
 from agent_esim.cli import main
-from agent_esim.config import ADMIN_SECRET_ENV
+from agent_esim.client import GatewayClient
+from agent_esim.config import ADMIN_SECRET_ENV, ServiceConfig, load_config
+from agent_esim.milenage import derive_opc
 from agent_esim.policy import permissive_policy
 from agent_esim.recordlog import FrameWalk, write_frames
+from agent_esim.stack import build_stack, serving
+from agent_esim.wire import scan_for_secrets
 
 ADMIN_SECRET = "cli-admin-secret"
 
@@ -396,3 +404,127 @@ def test_direct_and_endpoint_modes_give_the_same_answers(tmp_path, capsys):
     assert [code for code, _, _ in direct] == [0, 0, 0, 0, 0, 0, 1, 1, 0]
     assert direct[6][2] == "error: illegal transition Revoked -> Active\n"
     assert _audit_trail(tmp_path / "direct") == _audit_trail(tmp_path / "served")
+
+
+# Admin secrets a header cannot carry, by where they come from.
+REFUSED_SECRETS = {
+    "config-number": ("config", 12345),
+    "config-empty": ("config", ""),
+    "config-non-ascii": ("config", "pässwort"),
+    "env-non-ascii": ("env", "pässwort"),
+}
+
+
+@pytest.mark.parametrize(
+    "source, secret", REFUSED_SECRETS.values(), ids=list(REFUSED_SECRETS)
+)
+def test_a_secret_a_header_cannot_carry_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          source, secret):
+    document = {"state_dir": str(tmp_path / "state"), "listen_address": "127.0.0.1:0"}
+    env = dict(CLI_ENV)
+    if source == "config":
+        document["admin_secret"] = secret
+        monkeypatch.delenv(ADMIN_SECRET_ENV)
+        del env[ADMIN_SECRET_ENV]
+    else:
+        monkeypatch.setenv(ADMIN_SECRET_ENV, secret)
+        env[ADMIN_SECRET_ENV] = secret
+    config = tmp_path / "service.json"
+    config.write_text(json.dumps(document))
+    refusal = (
+        "error: the admin secret (the admin_secret config key or AGENT_ESIM_ADMIN_SECRET)"
+        " must be a non-empty printable-ASCII string"
+    )
+    code, out, err = run_cli(
+        capsys, "--config", str(config), "--endpoint", "http://127.0.0.1:9", "status", "esim-x"
+    )
+    assert (code, out, err.splitlines()) == (1, "", [refusal])
+    # `serve` refuses before it opens the state directory; a serve that
+    # started would block, hence the timeout
+    served = subprocess.run(
+        [sys.executable, "-m", "agent_esim.cli", "--config", str(config), "serve"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (served.returncode, served.stdout, served.stderr.splitlines()) == (1, "", [refusal])
+    assert not (tmp_path / "state").exists()
+
+
+def test_serve_on_port_0_announces_its_url_and_persists_on_sigterm(tmp_path):
+    state = tmp_path / "state"
+    config_path = tmp_path / "service.json"
+    config_path.write_text(json.dumps({
+        "state_dir": str(state),
+        "listen_address": "127.0.0.1:0",
+        "admin_secret": ADMIN_SECRET,
+        "default_policy": permissive_policy(policy_id="default").to_json(),
+    }))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "agent_esim.cli", "--config", str(config_path), "serve"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CLI_ENV,
+    )
+    try:
+        first = proc.stdout.readline()
+        url = re.fullmatch(r"agent-esim serving on (http://127\.0\.0\.1:\d+) \(state: .*\)\n",
+                           first)
+        assert url is not None, first + proc.stderr.read()
+        created = cli_process(
+            "--endpoint", url[1], "--json", "provision",
+            "--agent-key", secrets.token_bytes(32).hex(),
+            "--measurement", secrets.token_bytes(32).hex(),
+            "--namespace", "acme/port-0",
+        )
+        assert created.returncode == 0, created.stderr
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
+    assert (proc.returncode, out, err) == (0, "agent-esim stopped; state persisted\n", "")
+    profile_id = json.loads(created.stdout)["profile_id"]
+    stack = build_stack(ServiceConfig(state_dir=state, listen_port=0), sync=False)
+    try:
+        assert stack.vault.get_state(profile_id).value == "Active"
+    finally:
+        stack.close()
+
+
+def test_operator_op_derives_opc_and_is_stored_and_shown_nowhere(tmp_path, capsys):
+    op = secrets.token_bytes(16)
+    root = SoftwareRootOfTrust.generate("tee-op")
+    config_path = tmp_path / "service.json"
+    config_path.write_text(json.dumps({
+        "state_dir": "state",
+        "operator_op": op.hex(),
+        "attestation_roots": [{"root_id": root.root_id, "public_key": root.public_key.hex()}],
+        "default_policy": permissive_policy(policy_id="default").to_json(),
+    }))
+    measurement = secrets.token_bytes(32)
+    outputs = [run_cli(
+        capsys, "--config", str(config_path), "--json", "provision",
+        "--agent-key", secrets.token_bytes(32).hex(),
+        "--measurement", measurement.hex(), "--namespace", "acme/op",
+    )]
+    assert outputs[0][0] == 0, outputs[0][2]
+    created = json.loads(outputs[0][1])
+    outputs.append(run_cli(capsys, "--config", str(config_path), "--json", "status",
+                           created["profile_id"]))
+    assert outputs[1][0] == 0, outputs[1][2]
+    with serving(load_config(config_path), "127.0.0.1", 0, "op-secret") as (stack, server):
+        keys = stack.vault.key_material_for(created["imsi"])
+        assert keys.opc == derive_opc(keys.k, op)
+        with GatewayClient(server.base_url) as client:
+            agent = AgentRuntime(
+                agent_id="agent-op", profile_id=created["profile_id"], measurement=measurement,
+                environment_id="env-op", attestation_signer=root, client=client,
+            )
+            session = agent_authenticate(agent, RelyingService(stack.netcore))
+            assert session.authenticated is True
+            seen = json.dumps([client.transcript, session.transcript], default=str)
+    seen += "".join(out + err for _, out, err in outputs)
+    state_files = [p for p in (tmp_path / "state").iterdir() if p.is_file()]
+    assert {p.name for p in state_files} >= {"vault.log", "netcore.log", "audit.log"}
+    for blob in [seen.encode(), *(p.read_bytes() for p in state_files)]:
+        assert scan_for_secrets(blob, [op]) == []

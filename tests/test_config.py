@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from agent_esim.config import ADMIN_SECRET_ENV, config_from_dict, load_config
+from agent_esim.config import ADMIN_SECRET_ENV, config_from_dict, load_config, resolve_admin_secret
 from agent_esim.errors import ConfigError
 
 
@@ -76,16 +76,36 @@ def test_missing_file():
 def test_admin_secret_env_override(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path, {"state_dir": "s", "admin_secret": "file"}))
     monkeypatch.setenv(ADMIN_SECRET_ENV, "env-wins")
-    assert config.resolve_admin_secret() == "env-wins"
+    assert resolve_admin_secret(config) == "env-wins"
     monkeypatch.delenv(ADMIN_SECRET_ENV)
-    assert config.resolve_admin_secret() == "file"
+    assert resolve_admin_secret(config) == "file"
 
 
 def test_admin_secret_required(tmp_path, monkeypatch):
     monkeypatch.delenv(ADMIN_SECRET_ENV, raising=False)
     config = load_config(write_config(tmp_path, {"state_dir": "s"}))
     with pytest.raises(ConfigError, match=ADMIN_SECRET_ENV):
-        config.resolve_admin_secret()
+        resolve_admin_secret(config)
+
+
+# Admin secrets a header cannot carry, or that would admit an empty header.
+REFUSED_SECRETS = {"number": 12345, "empty": "", "non-ascii": "pässwort", "tab": "se\tcret"}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SECRETS))
+def test_the_resolver_refuses_a_config_secret_a_header_cannot_carry(monkeypatch, case):
+    monkeypatch.delenv(ADMIN_SECRET_ENV, raising=False)
+    config = config_from_dict({"state_dir": "s", "admin_secret": REFUSED_SECRETS[case]})
+    with pytest.raises(ConfigError, match="must be a non-empty printable-ASCII string"):
+        resolve_admin_secret(config)
+
+
+def test_the_resolver_refuses_a_non_ascii_secret_from_the_environment(monkeypatch):
+    monkeypatch.setenv(ADMIN_SECRET_ENV, "pässwort")
+    config = config_from_dict({"state_dir": "s", "admin_secret": "file"})
+    for source in (config, None):
+        with pytest.raises(ConfigError, match="must be a non-empty printable-ASCII string"):
+            resolve_admin_secret(source)
 
 
 @pytest.mark.parametrize("key_hex", ["ab" * 31, "ab" * 33, ""], ids=["31-bytes", "33-bytes", "empty"])

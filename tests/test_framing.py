@@ -104,6 +104,12 @@ REFUSED = {
         + b"".join(b"X-H%d: v\r\n" % i for i in range(httpapi.MAX_HEADERS + 1)) + b"\r\n",
         431,
     ),
+    # every line under MAX_LINE_BYTES, and fewer than MAX_HEADERS of them
+    "head-over-the-total": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: %s\r\n" % (i, b"a" * 8000) for i in range(3)) + b"\r\n",
+        431,
+    ),
     "malformed-request-line": (b"GET /healthz\r\n\r\n", 400),
     "unknown-version": (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
     "malformed-header-line": (b"GET /healthz HTTP/1.1\r\nX-No-Colon\r\n\r\n", 400),
@@ -126,6 +132,29 @@ def test_undelimitable_request_gets_one_error_and_close(served, monkeypatch, cas
     assert answer[1]["connection"] == "close"
     assert set(json.loads(answer[2])) == {"error", "message"}
     assert calls == []
+
+
+def test_head_cap_admits_a_full_line_and_keeps_each_refusal_message(served):  # noqa: F811
+    _, server = served
+    line = b"X-Long: " + b"a" * (httpapi.MAX_LINE_BYTES - 10) + b"\r\n"
+    assert len(line) == httpapi.MAX_LINE_BYTES
+    data = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + line + b"\r\n"
+    assert [a[0] for a in _responses(_exchange(server, data))] == [200]
+    messages = {}
+    for case in ("long-request-line", "long-header-line", "too-many-headers",
+                 "head-over-the-total"):
+        ((status, _, body),) = _responses(_exchange(server, REFUSED[case][0]))
+        messages[case] = (status, json.loads(body))
+    assert messages == {
+        "long-request-line": (431, {"error": "HeadTooLarge",
+                                    "message": "a head line is over 8192 bytes"}),
+        "long-header-line": (431, {"error": "HeadTooLarge",
+                                   "message": "a head line is over 8192 bytes"}),
+        "too-many-headers": (431, {"error": "HeadTooLarge",
+                                   "message": "more than 64 header lines"}),
+        "head-over-the-total": (431, {"error": "HeadTooLarge",
+                                      "message": "a head is over 16384 bytes"}),
+    }
 
 
 # -- what other HTTP clients send ------------------------------------------------------
@@ -253,6 +282,9 @@ BAD_RESPONSES = {
     "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
     # the server always writes Content-Length, so the client reads nothing else
     "no-content-length": b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"ok": true}',
+    "head-over-the-total": b"HTTP/1.1 200 OK\r\n"
+    + b"".join(b"X-H%d: %s\r\n" % (i, b"a" * 8000) for i in range(3))
+    + b"Content-Length: 2\r\n\r\n{}",
 }
 
 

@@ -269,8 +269,12 @@ def test_provision_digest_is_computed_from_the_wire_document(served, manifest):
         ({"expected_measurements": ["ab" * 31]}, "binding.expected_measurements"),
         ({"expected_measurements": "ab" * 32}, "expected_measurements"),
         ({"manifest_digest": "cd" * 31}, "binding.container_fingerprint"),
+        ({"agent_public_key": ""}, "binding.agent_public_key"),
+        ({"agent_public_key": "ab" * 31}, "binding.agent_public_key"),
+        ({"agent_public_key": "ab" * 33}, "binding.agent_public_key"),
     ],
-    ids=["no-measurement", "short-measurement", "not-a-list", "short-manifest"],
+    ids=["no-measurement", "short-measurement", "not-a-list", "short-manifest",
+         "empty-agent-key", "short-agent-key", "long-agent-key"],
 )
 def test_provision_binding_errors_map_to_400(served, change, field):
     stack, server = served
@@ -281,6 +285,7 @@ def test_provision_binding_errors_map_to_400(served, change, field):
     )
     assert (status, body["error"], body["field"]) == (400, "InvalidProfile", field)
     assert stack.vault.profile_ids() == []
+    assert stack.audit.records() == []
 
 
 def test_unknown_profile_maps_to_404(served):

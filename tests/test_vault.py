@@ -7,16 +7,19 @@ import time
 
 import pytest
 
+from agent_esim.config import ServiceConfig
 from agent_esim.errors import (
     DuplicateProfile,
     IllegalTransition,
     InvalidProfile,
     ProfileNotActive,
+    StorageFailure,
     UnknownProfile,
 )
 from agent_esim.identifiers import IdentifierAllocator
 from agent_esim.milenage import MilenageKeyMaterial, generate_auth_vector
 from agent_esim.recordlog import FrameWalk, write_frames
+from agent_esim.stack import build_stack
 from agent_esim.vault import (
     AkaMacFailure,
     AkaSuccess,
@@ -96,6 +99,17 @@ def test_install_requires_measurement(vault):
             expected_measurements=frozenset({b"short"}),
             enterprise_namespace="x",
         )
+
+
+@pytest.mark.parametrize("key", [b"", bytes(31), bytes(33)], ids=["empty", "31-bytes", "33-bytes"])
+def test_binding_agent_key_must_be_32_bytes(key):
+    with pytest.raises(InvalidProfile) as exc:
+        BindingMetadata(
+            agent_public_key=key,
+            expected_measurements=frozenset({bytes(32)}),
+            enterprise_namespace="x",
+        )
+    assert exc.value.field == "binding.agent_public_key"
 
 
 def test_lifecycle_machine(vault):
@@ -280,6 +294,25 @@ def test_install_record_written_with_a_policy_id_still_opens(tmp_path):
     reopened = SimVault(state)
     assert reopened.get_profile_status("p-1") == before
     reopened.close()
+
+
+@pytest.mark.parametrize("key_hex", ["", "ab" * 31], ids=["empty", "31-bytes"])
+def test_stored_binding_the_check_refuses_stops_the_open(tmp_path, key_hex):
+    state = tmp_path / "state"
+    vault = SimVault(state)
+    vault.install_profile(make_profile("esim-good", imsi="001010000000001"))
+    vault.install_profile(make_profile("esim-refused", imsi="001010000000002"))
+    vault.close()
+    with FrameWalk(state / "vault.log") as walk:
+        header, frames = walk.header, list(walk)
+    records = [json.loads(frame) for frame in frames]
+    records[1]["profile"]["binding"]["agent_public_key"] = key_hex
+    write_frames(state / "vault.log", header, [json.dumps(r).encode() for r in records])
+    refused = r"vault\.log: profile esim-refused: agent public key must be 32 bytes"
+    with pytest.raises(StorageFailure, match=refused):
+        SimVault(state)
+    with pytest.raises(StorageFailure, match=refused):
+        build_stack(ServiceConfig(state_dir=state, listen_port=0), sync=False)
 
 
 def test_status_never_exposes_key_material(vault):
