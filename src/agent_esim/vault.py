@@ -5,8 +5,12 @@ cryptographic operation on their behalf. The trust boundary is this
 process: subscriber keys and the private signing half enter at install
 time and never appear in any response, status document, or log line. The
 vault is their only holder: the network core reads Ki and OPc through
-`key_material_for`. The backing state file keeps key bytes in the clear; a
-production deployment would put an HSM behind the same interface.
+`key_material_for`. A profile holds its Ed25519 private key as the 32-byte
+seed and builds the key object on first use, so opening a vault runs no
+Ed25519 arithmetic and a revoked profile that nobody asks about never
+builds one. The backing state file keeps key bytes, that seed included, in
+the clear; a production deployment would put an HSM behind the same
+interface.
 
 One vault lock is held across each check and the write it guards: install
 uniqueness, a state transition, and SQN acceptance with its `sqn` record,
@@ -22,7 +26,8 @@ from __future__ import annotations
 import enum
 import hmac
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -35,6 +40,7 @@ from cryptography.exceptions import InvalidSignature
 from .errors import (
     DuplicateProfile,
     IllegalTransition,
+    InvalidKeyMaterial,
     InvalidProfile,
     ProfileNotActive,
     StorageFailure,
@@ -137,10 +143,19 @@ class SimProfile:
     iccid: str
     imsi: str
     key_material: MilenageKeyMaterial
-    signing_key: Ed25519PrivateKey
+    signing_seed: bytes = field(repr=False)  # the raw Ed25519 private key
     binding: BindingMetadata
     sqn_ms: int = 0
     state: ProfileState = ProfileState.PROVISIONED
+
+    def __post_init__(self):
+        if len(self.signing_seed) != 32:
+            raise InvalidProfile("signing_key", "signing key must be 32 bytes")
+
+    @cached_property
+    def signing_key(self) -> Ed25519PrivateKey:
+        """Built on first read; two first reads build the same key."""
+        return Ed25519PrivateKey.from_private_bytes(self.signing_seed)
 
     def public_signing_key(self) -> bytes:
         return self.signing_key.public_key().public_bytes_raw()
@@ -176,14 +191,17 @@ def new_profile(
     binding: BindingMetadata,
 ) -> SimProfile:
     """Fresh profile with a newly generated signing keypair."""
-    return SimProfile(
+    signing_key = Ed25519PrivateKey.generate()
+    profile = SimProfile(
         profile_id=profile_id,
         iccid=iccid,
         imsi=imsi,
         key_material=key_material,
-        signing_key=Ed25519PrivateKey.generate(),
+        signing_seed=signing_key.private_bytes_raw(),
         binding=binding,
     )
+    profile.signing_key = signing_key  # primes the cached_property
+    return profile
 
 
 class SimVault:
@@ -204,14 +222,16 @@ class SimVault:
 
     def _apply(self, rec: dict) -> None:
         """The only writer of profile state: live appends and restart alike.
-        A stored binding that the check refuses stops the open."""
+        A stored profile that does not decode, or that a check refuses,
+        stops the open."""
         kind = rec["type"]
         if kind == "install":
             try:
                 profile = _profile_from_record(rec["profile"])
-            except InvalidProfile as err:
-                profile_id = rec["profile"]["profile_id"]
-                raise StorageFailure(f"{self.path}: profile {profile_id}: {err}") from err
+            except (KeyError, TypeError, ValueError, InvalidKeyMaterial, InvalidProfile) as err:
+                profile_id = rec["profile"].get("profile_id")
+                detail = f"no field {err}" if isinstance(err, KeyError) else err
+                raise StorageFailure(f"{self.path}: profile {profile_id}: {detail}") from err
             self._profiles[profile.profile_id] = profile
             self._by_imsi[profile.imsi] = profile
             self._iccids.add(profile.iccid)
@@ -248,6 +268,9 @@ class SimVault:
             if profile.iccid in self._iccids:
                 raise DuplicateProfile(f"iccid already installed: {profile.iccid}")
             self._log.append({"type": "install", "profile": _profile_to_record(profile)})
+            # `_apply` stored a profile rebuilt from the record: hand it the
+            # key object `profile` holds rather than build that key again.
+            self._profiles[profile.profile_id].signing_key = profile.signing_key
         return profile.profile_id
 
     def usim_authenticate(self, profile_id: str, rand: bytes, autn: bytes) -> AkaOutcome:
@@ -346,7 +369,7 @@ def _profile_to_record(profile: SimProfile) -> dict:
         "k": km.k.hex(),
         "opc": km.opc.hex(),
         "op": km.op.hex() if km.op else None,
-        "signing_key": profile.signing_key.private_bytes_raw().hex(),
+        "signing_key": profile.signing_seed.hex(),
         "binding": {
             "agent_public_key": profile.binding.agent_public_key.hex(),
             "expected_measurements": sorted(
@@ -377,9 +400,7 @@ def _profile_from_record(rec: dict) -> SimProfile:
             opc=bytes.fromhex(rec["opc"]),
             op=bytes.fromhex(rec["op"]) if rec.get("op") else None,
         ),
-        signing_key=Ed25519PrivateKey.from_private_bytes(
-            bytes.fromhex(rec["signing_key"])
-        ),
+        signing_seed=bytes.fromhex(rec["signing_key"]),
         binding=BindingMetadata(
             agent_public_key=bytes.fromhex(binding["agent_public_key"]),
             expected_measurements=frozenset(

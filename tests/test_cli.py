@@ -25,6 +25,8 @@ from agent_esim.recordlog import FrameWalk, write_frames
 from agent_esim.stack import build_stack, serving
 from agent_esim.wire import scan_for_secrets
 
+from tests.test_vault import store_with_second_profile_edited
+
 ADMIN_SECRET = "cli-admin-secret"
 
 
@@ -220,6 +222,14 @@ def test_bad_config_key_named_in_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(config), "status", "esim-x")
     assert code == 1
     assert "listen_adress" in err
+
+
+def test_stored_profile_missing_a_field_is_one_error_line(tmp_path, capsys):
+    store_with_second_profile_edited(tmp_path / "state", "esim-bad", lambda p: p.pop("imsi"))
+    code, _, err = run_cli(capsys, "--state-dir", str(tmp_path / "state"), "status", "esim-bad")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert re.match(r"error: .*vault\.log: profile esim-bad: no field 'imsi'$", err)
 
 
 @pytest.mark.parametrize("port", ["99999", "-1"])

@@ -2,11 +2,15 @@
 
 import json
 import secrets
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+from agent_esim import vault as vault_module
 from agent_esim.config import ServiceConfig
 from agent_esim.errors import (
     DuplicateProfile,
@@ -296,23 +300,178 @@ def test_install_record_written_with_a_policy_id_still_opens(tmp_path):
     reopened.close()
 
 
-@pytest.mark.parametrize("key_hex", ["", "ab" * 31], ids=["empty", "31-bytes"])
-def test_stored_binding_the_check_refuses_stops_the_open(tmp_path, key_hex):
-    state = tmp_path / "state"
+def store_with_second_profile_edited(state, profile_id, edit):
+    """A `vault.log` in `state` holding two profiles, the second of them
+    `profile_id` with `edit` applied to its stored record."""
     vault = SimVault(state)
     vault.install_profile(make_profile("esim-good", imsi="001010000000001"))
-    vault.install_profile(make_profile("esim-refused", imsi="001010000000002"))
+    vault.install_profile(make_profile(profile_id, imsi="001010000000002"))
     vault.close()
     with FrameWalk(state / "vault.log") as walk:
         header, frames = walk.header, list(walk)
     records = [json.loads(frame) for frame in frames]
-    records[1]["profile"]["binding"]["agent_public_key"] = key_hex
+    edit(records[1]["profile"])
     write_frames(state / "vault.log", header, [json.dumps(r).encode() for r in records])
+
+
+@pytest.mark.parametrize("key_hex", ["", "ab" * 31], ids=["empty", "31-bytes"])
+def test_stored_binding_the_check_refuses_stops_the_open(tmp_path, key_hex):
+    state = tmp_path / "state"
+    store_with_second_profile_edited(
+        state, "esim-refused",
+        lambda profile: profile["binding"].__setitem__("agent_public_key", key_hex),
+    )
     refused = r"vault\.log: profile esim-refused: agent public key must be 32 bytes"
     with pytest.raises(StorageFailure, match=refused):
         SimVault(state)
     with pytest.raises(StorageFailure, match=refused):
         build_stack(ServiceConfig(state_dir=state, listen_port=0), sync=False)
+
+
+MALFORMED = {
+    "k-not-hex": (lambda p: p.__setitem__("k", "zz"), "non-hexadecimal"),
+    "k-15-bytes": (lambda p: p.__setitem__("k", "ab" * 15), "k must be 16 bytes"),
+    "signing-key-31-bytes": (
+        lambda p: p.__setitem__("signing_key", p["signing_key"][:62]),
+        "signing key must be 32 bytes",
+    ),
+    "imsi-missing": (lambda p: p.pop("imsi"), "no field 'imsi'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_stored_profile_stops_the_open(tmp_path, case):
+    edit, why = MALFORMED[case]
+    state = tmp_path / "state"
+    store_with_second_profile_edited(state, "esim-bad", edit)
+    refused = rf"vault\.log: profile esim-bad: .*{why}"
+    with pytest.raises(StorageFailure, match=refused):
+        SimVault(state)
+    with pytest.raises(StorageFailure, match=refused):
+        build_stack(ServiceConfig(state_dir=state, listen_port=0), sync=False)
+
+
+def churned_store(state, count=50):
+    """A stack directory holding `count` profiles, every third one revoked;
+    returns {profile_id: (provision result, measurement)}."""
+    stack = Stack(state, sync=False)
+    provisioned = {}
+    for i in range(count):
+        result, measurement = stack.provision()
+        provisioned[result["profile_id"]] = (result, measurement)
+        if i % 3 == 0:
+            stack.gateway.revoke_profile(result["profile_id"], "churned")
+    stack.close()
+    return provisioned
+
+
+def test_open_builds_no_signing_key_and_first_sign_builds_one(tmp_path, monkeypatch):
+    provisioned = churned_store(tmp_path / "state")
+    built = []
+
+    def from_private_bytes(seed):
+        built.append(seed)
+        return Ed25519PrivateKey.from_private_bytes(seed)
+
+    # The vault sees only these two calls, so any other Ed25519 call fails.
+    monkeypatch.setattr(
+        vault_module, "Ed25519PrivateKey",
+        SimpleNamespace(from_private_bytes=from_private_bytes, generate=Ed25519PrivateKey.generate),
+    )
+    stack = Stack(tmp_path / "state", sync=False)
+    assert len(stack.vault.profile_ids()) == 50
+    assert built == []
+    live = next(
+        pid for pid in provisioned if stack.vault.get_state(pid) is ProfileState.ACTIVE
+    )
+    measurement = provisioned[live][1]
+
+    def sign(profile_id, measurement):
+        stack.gateway.handle_sign(
+            profile_id, secrets.token_bytes(32), stack.token_for(measurement), "127.0.0.1"
+        )
+
+    sign(live, measurement)
+    assert len(built) == 1
+    sign(live, measurement)
+    assert len(built) == 1
+    # A profile provisioned now keeps the key provisioning generated.
+    result, fresh_measurement = stack.provision()
+    sign(result["profile_id"], fresh_measurement)
+    assert len(built) == 1
+    stack.close()
+
+
+def test_restarted_profiles_sign_and_report_the_provisioned_key(tmp_path):
+    provisioned = churned_store(tmp_path / "state", count=6)
+    stack = Stack(tmp_path / "state", sync=False)
+    states = set()
+    for pid, (result, measurement) in provisioned.items():
+        status = stack.gateway.handle_status(pid)
+        assert status["public_signing_key"] == result["public_signing_key"]
+        states.add(status["state"])
+        if status["state"] == ProfileState.ACTIVE.value:
+            digest = secrets.token_bytes(32)
+            signed = stack.gateway.handle_sign(
+                pid, digest, stack.token_for(measurement), "127.0.0.1"
+            )
+            assert verify_profile_signature(
+                bytes.fromhex(result["public_signing_key"]), pid, digest,
+                bytes.fromhex(signed["signature"]),
+            )
+    assert states == {ProfileState.ACTIVE.value, ProfileState.REVOKED.value}
+    stack.close()
+
+
+def test_concurrent_first_signs_after_a_restart_all_verify(tmp_path):
+    vault = SimVault(tmp_path / "state")
+    vault.install_profile(make_profile())
+    vault.set_profile_state("p-1", ProfileState.ACTIVE)
+    public_key = vault.get_profile_status("p-1")["public_signing_key"]
+    vault.close()
+    signed = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round reopens, so the key is built again
+            reopened = SimVault(tmp_path / "state")
+            start = threading.Barrier(8)
+
+            def sign():
+                start.wait(timeout=10)
+                digest = secrets.token_bytes(32)
+                signed.append((digest, reopened.usim_sign("p-1", digest)))
+
+            threads = [threading.Thread(target=sign) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            reopened.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(signed) == 160
+    for digest, result in signed:
+        assert result["public_key"] == public_key
+        assert verify_profile_signature(
+            bytes.fromhex(public_key), "p-1", digest, bytes.fromhex(result["signature"])
+        )
+
+
+def test_profile_repr_holds_no_signing_seed(tmp_path):
+    fresh = make_profile()  # its key already built
+    vault = SimVault(tmp_path / "state")
+    vault.install_profile(fresh)
+    vault.close()
+    reopened = SimVault(tmp_path / "state")
+    restored = reopened._profiles["p-1"]  # its key not built yet
+    assert restored.signing_seed == fresh.signing_seed
+    for profile in (fresh, restored):
+        seed = profile.signing_seed
+        text = repr(profile)
+        assert seed.hex() not in text.lower() and repr(seed)[2:-1] not in text
+    reopened.close()
 
 
 def test_status_never_exposes_key_material(vault):
