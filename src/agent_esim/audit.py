@@ -7,11 +7,14 @@ stored log is detectable; sequence numbers are dense from 1 and the
 genesis record chains from 32 zero bytes. A truncated tail is still a
 valid (shorter) chain and is reported by length, not as a break.
 
-A stored record holds each fact once: no `prev_hash`, which the checker
-carries from the record before (as `load_audit_records` fills it), and no
-`detail` when there is none. Records written before this form store
-`prev_hash`, and the checker compares it where present, so old and mixed
-logs verify; an older checker reports a break at the first newer record.
+`record_hash` is the one statement of what a record commits to, and it
+reads the record as stored: `append` stores the dict it hashed, the
+checker rehashes each stored dict, and an `AuditRecord` is only built
+from that form. It holds each fact once: no `prev_hash`, which the
+checker carries from the record before, and no `detail` when there is
+none. Records written before this form store `prev_hash`, and the checker
+compares it where present, so old and mixed logs verify; an older checker
+reports a break at the first newer record.
 """
 
 from __future__ import annotations
@@ -70,20 +73,6 @@ class AuditRecord:
     prev_hash: bytes
     record_hash: bytes
 
-    def to_json(self) -> dict:
-        rec = {
-            "seq": self.seq,
-            "timestamp_us": self.timestamp_us,
-            "profile_id": self.profile_id,
-            "operation": self.operation.value,
-            "outcome": self.outcome.kind,
-            "request_digest": self.request_digest.hex(),
-            "record_hash": self.record_hash.hex(),
-        }
-        if self.outcome.detail is not None:
-            rec["detail"] = self.outcome.detail
-        return rec
-
     @classmethod
     def from_json(cls, rec: dict, prev_hash: bytes) -> "AuditRecord":
         """A stored record that follows the record whose hash is `prev_hash`."""
@@ -99,27 +88,18 @@ class AuditRecord:
         )
 
 
-def record_hash(
-    seq: int,
-    timestamp_us: int,
-    profile_id: str,
-    operation: str,
-    outcome: str,
-    detail: str | None,
-    request_digest: bytes,
-    prev_hash: bytes,
-) -> bytes:
-    """The chain hash over a record's fields, as stored: `operation` is an
-    `AuditOperation` value and `outcome` an `AuditOutcome` kind."""
+def record_hash(rec: dict, prev_hash: bytes) -> bytes:
+    """The chain hash of the stored record `rec` after the record whose hash
+    is `prev_hash`; an absent (or older, null) `detail` hashes as ""."""
     return sha256(
         encode_fields(
-            seq.to_bytes(8, "big"),
-            timestamp_us.to_bytes(8, "big"),
-            profile_id.encode("utf-8"),
-            operation.encode("ascii"),
-            outcome.encode("ascii"),
-            (detail or "").encode("utf-8"),
-            request_digest,
+            int(rec["seq"]).to_bytes(8, "big"),
+            int(rec["timestamp_us"]).to_bytes(8, "big"),
+            rec["profile_id"].encode("utf-8"),
+            rec["operation"].encode("ascii"),
+            rec["outcome"].encode("ascii"),
+            (rec.get("detail") or "").encode("utf-8"),
+            bytes.fromhex(rec["request_digest"]),
             prev_hash,
         )
     )
@@ -173,18 +153,20 @@ class AuditLog:
         request_digest: bytes,
     ) -> AuditRecord:
         with self._lock:
-            seq = self._seq + 1
-            timestamp_us = int(self._clock() * 1_000_000)
-            digest = record_hash(
-                seq, timestamp_us, profile_id, operation.value, outcome.kind,
-                outcome.detail, request_digest, self._last_hash,
-            )
-            record = AuditRecord(
-                seq, timestamp_us, profile_id, operation, outcome, request_digest,
-                self._last_hash, digest,
-            )
-            self._log.append(record.to_json())  # raises StorageFailure on error
-            return record
+            rec = {
+                "seq": self._seq + 1,
+                "timestamp_us": int(self._clock() * 1_000_000),
+                "profile_id": profile_id,
+                "operation": operation.value,
+                "outcome": outcome.kind,
+                "request_digest": request_digest.hex(),
+            }
+            if outcome.detail is not None:
+                rec["detail"] = outcome.detail
+            prev_hash = self._last_hash
+            rec["record_hash"] = record_hash(rec, prev_hash).hex()
+            self._log.append(rec)  # raises StorageFailure on error
+            return AuditRecord.from_json(rec, prev_hash)
 
     def records(self) -> list[AuditRecord]:
         """The committed records: those `verify()` reads."""
@@ -215,25 +197,15 @@ def _link_hash(rec: dict, position: int, prev_hash: bytes) -> bytes | None:
     `prev_hash`, else None (a missing or malformed field counts as invalid)."""
     try:
         stored = bytes.fromhex(rec["record_hash"])
-        if (
-            int(rec["seq"]) != position
-            or rec["operation"] not in _OPERATIONS
-            or ("prev_hash" in rec and bytes.fromhex(rec["prev_hash"]) != prev_hash)
-        ):
-            return None
-        computed = record_hash(
-            position,
-            int(rec["timestamp_us"]),
-            rec["profile_id"],
-            rec["operation"],
-            rec["outcome"],
-            rec.get("detail"),
-            bytes.fromhex(rec["request_digest"]),
-            prev_hash,
+        valid = (
+            int(rec["seq"]) == position
+            and rec["operation"] in _OPERATIONS
+            and ("prev_hash" not in rec or bytes.fromhex(rec["prev_hash"]) == prev_hash)
+            and record_hash(rec, prev_hash) == stored
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
         return None
-    return stored if computed == stored else None
+    return stored if valid else None
 
 
 def verify_audit_chain(records: Iterable[dict]) -> ChainStatus:

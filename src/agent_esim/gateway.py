@@ -48,6 +48,7 @@ from .errors import (
     GatewayDenied,
     InvalidPolicy,
     MalformedRequest,
+    ProfileNotActive,
     StorageFailure,
     VaultError,
 )
@@ -323,13 +324,14 @@ class IdentityGateway:
         return {"previous_state": previous.value, "state": target.value}
 
     def update_policy(self, profile_id: str, new_policy: DelegationPolicy) -> str | None:
-        """Atomically swap the profile's policy; returns the previous policy_id."""
+        """Swap the policy of a profile that is not Revoked; returns the previous policy_id."""
         digest = request_digest(
             "policy", profile_id, {"policy_id": new_policy.policy_id.encode("utf-8")}
         )
 
         def swap(_rate):
-            self.vault.get_state(profile_id)  # profile must exist
+            if self.vault.get_state(profile_id) is ProfileState.REVOKED:  # UnknownProfile if absent
+                raise ProfileNotActive(ProfileState.REVOKED)  # nothing would enforce the binding
             previous = self.policies.set(profile_id, new_policy)
             return previous, f"{previous or '-'} -> {new_policy.policy_id}"
 

@@ -51,7 +51,11 @@ exception to cutting an incomplete final frame: when a checkpoint decodes
 but the full walk stops at such a frame below the checkpoint's end, those
 bytes were once acknowledged whole, so the cut would drop acknowledged
 records behind a corrupt length; the open raises StorageFailure naming the
-offset and leaves the file as it is.
+offset and leaves the file as it is. A checkpoint records `sync`: written
+with fsync on, it vouches for durable bytes, so a log shorter than its end
+(empty or missing too) lost acknowledged records, and the open raises
+StorageFailure naming both figures. One written with sync off, or before
+the field, may outlive an unsynced tail, so a shorter log opens as above.
 Opening a log deletes a leftover `.ckpt.tmp` file.
 
 Every reader goes through `FrameWalk`, which maps the file read-only and
@@ -98,16 +102,22 @@ class RecordLog:
         self._checkpoint_path = self.path.with_name(self.path.name + CHECKPOINT_SUFFIX)
         self._checkpoint_temp = self._checkpoint_path.with_name(self._checkpoint_path.name + ".tmp")
         self._checkpoint_temp.unlink(missing_ok=True)  # an interrupted checkpoint
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        size = self.path.stat().st_size if self.path.exists() else 0
+        fresh = size == 0
         self.dropped_bytes = 0
         # kept by a log without a snapshot: its last checkpoint's end, and
         # the CRC of its bytes up to `committed_end`
         self._checkpoint_end = self._crc = 0
+        point = self._read_checkpoint() if snapshot is None else None
+        if point is not None and point[3] and size < point[0]:
+            raise StorageFailure(
+                f"{self.path}: the log ends at byte {size}, below the end {point[0]} that"
+                " its checkpoint saw durable; not opened"
+            )
         if not fresh:
-            point = self._read_checkpoint() if snapshot is None else None
             with FrameWalk(self.path) as walk:
                 start = 0
-                if point is not None and (resumed := self._resume(walk, *point)) is not None:
+                if point is not None and (resumed := self._resume(walk, *point[:3])) is not None:
                     last, self._crc = resumed
                     start = self._checkpoint_end = walk.end
                     apply(last)
@@ -131,12 +141,13 @@ class RecordLog:
             self._crc = zlib.crc32(head)
         self._compacted_end = self.committed_end
 
-    def _read_checkpoint(self) -> tuple[int, int, int] | None:
-        """The checkpoint's (end, crc32, last_at), or None when there is no
-        checkpoint that decodes with the log's header."""
+    def _read_checkpoint(self) -> tuple[int, int, int, bool] | None:
+        """The checkpoint's (end, crc32, last_at, sync), or None when none decodes
+        with the log's header; `sync` is False in one that predates the field."""
         try:
             (point,) = list(iter_records(self._checkpoint_path, self.header))
-            return tuple(int(point[key]) for key in ("end", "crc32", "last_at"))
+            end, crc, last_at = (int(point[key]) for key in ("end", "crc32", "last_at"))
+            return end, crc, last_at, point.get("sync") is True
         except (OSError, StorageFailure, KeyError, TypeError, ValueError):
             return None
 
@@ -190,7 +201,7 @@ class RecordLog:
         frame starts at `last_at` (under the lock, after an acknowledged
         append, which this never fails). Unsynced: see the module doc."""
         self._checkpoint_end = self.committed_end  # a failure waits for the next step
-        point = {"end": self.committed_end, "crc32": self._crc, "last_at": last_at}
+        point = {"end": self.committed_end, "crc32": self._crc, "last_at": last_at, "sync": self.sync}
         temp = self._checkpoint_temp
         try:
             write_frames(temp, self.header, [_encode(point)], sync=False)

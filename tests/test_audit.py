@@ -1,6 +1,9 @@
 """Audit chain construction, verification, and tamper detection."""
 
+import hashlib
+import itertools
 import json
+import os
 import secrets
 import shutil
 import tracemalloc
@@ -16,7 +19,6 @@ from agent_esim.audit import (
     ChainStatus,
     GENESIS_PREV_HASH,
     load_audit_records,
-    verify_audit_chain,
     verify_audit_file,
 )
 from agent_esim.errors import StorageFailure
@@ -172,7 +174,7 @@ def test_load_roundtrip_preserves_hashes(log):
     records = append_n(log, 5)
     loaded = load_audit_records(log.path)
     assert [r.record_hash for r in loaded] == [r.record_hash for r in records]
-    assert verify_audit_chain(r.to_json() for r in loaded).ok
+    assert [r.prev_hash for r in loaded] == [r.prev_hash for r in records]
 
 
 def test_records_of_a_live_log_skip_an_append_in_flight(log):
@@ -253,6 +255,43 @@ def test_corrupt_length_inside_the_checkpointed_prefix_is_refused(tmp_path, caps
     assert path.read_bytes() == bytes(raw)
     assert main(["--json", "audit-verify", "--log", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": False, "length": 10, "first_bad_seq": 11}
+
+
+def _frame_end(path, frames) -> int:
+    """The offset where the first `frames` frames of a log end."""
+    with FrameWalk(path) as walk:
+        for _ in zip(range(frames), walk):
+            pass
+        return walk.end
+
+
+@pytest.mark.parametrize("kept", [200, 0])
+def test_a_log_cut_below_its_checkpoint_refuses_to_reopen(tmp_path, capsys, kept):
+    """A log cut at a frame boundary below the end its checkpoint saw durable
+    (or cut to nothing) has lost acknowledged records: the offline check sees
+    only a shorter chain, so the reopen must refuse instead of reusing seqs."""
+    from agent_esim.cli import main
+
+    state = tmp_path / "state"
+    audit = AuditLog(state)
+    append_n(audit, 404)
+    audit.close()
+    path = state / "audit.log"
+    end = _checkpoint_end(state)
+    size = _frame_end(path, kept) if kept else 0
+    assert size < end < path.stat().st_size
+    os.truncate(path, size)
+    cut = path.read_bytes()
+    if kept:
+        assert verify_audit_file(path) == ChainStatus(ok=True, length=kept)
+
+    with pytest.raises(StorageFailure, match=f"audit.log: the log ends at byte {size}, .* {end} "):
+        AuditLog(state)
+    assert path.read_bytes() == cut
+    assert main(["--state-dir", str(state), "status", "esim-x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "audit.log" in err and f"{end}" in err
 
 
 def test_stored_records_hold_no_prev_hash_and_no_null_detail(log):
@@ -368,3 +407,62 @@ def test_a_tampered_record_of_the_stored_form_fails_at_its_position(older, tampe
     edit(frames)
     write_frames(path, header, frames)
     assert verify_audit_file(path) == ChainStatus(False, position - 1, position)
+
+
+# An audit.log in today's stored form, written by the code from before
+# `append` hashed the dict it stores: the 36 records `_current_form_appends`
+# lists, on a clock stepping 0.25 s from 1_770_000_000 s. It is under 64 KiB,
+# so it has no checkpoint.
+CURRENT_FORM = Path(__file__).parent / "data" / "audit-current-form"
+
+# Each operation the gateway writes, with the detail its allowed record carries
+_DETAILS = {
+    AuditOperation.PROVISION: None,
+    AuditOperation.SIGN: None,
+    AuditOperation.AUTHENTICATE: "success",
+    AuditOperation.STATUS: None,
+    AuditOperation.STATE_CHANGE: "Active -> Suspended",
+    AuditOperation.POLICY_UPDATE: "loose -> tight",
+}
+
+
+def _current_form_appends():
+    """The (profile_id, operation, outcome, request_digest) of each fixture record."""
+    for i, (profile, operation, kind) in enumerate(
+        itertools.product(range(2), _DETAILS, ("allowed", "denied", "error"))
+    ):
+        outcome = {
+            "allowed": AuditOutcome.allowed(_DETAILS[operation]),
+            "denied": AuditOutcome.denied("RateLimit"),
+            "error": AuditOutcome.error("UnknownProfile"),
+        }[kind]
+        digest = hashlib.sha256(b"current form %d" % i).digest()
+        yield f"esim-{profile:012x}", operation, outcome, digest
+
+
+def _write_current_form(state):
+    clock = itertools.count(1_770_000_000.0, 0.25)
+    audit = AuditLog(state, sync=False, clock=lambda: next(clock))
+    for append in _current_form_appends():
+        audit.append(*append)
+    audit.close()
+    return state / "audit.log"
+
+
+def test_the_current_form_fixture_verifies_and_reopens_at_its_last_seq(tmp_path):
+    assert sorted(p.name for p in CURRENT_FORM.iterdir()) == ["audit.log"]
+    state = Path(shutil.copytree(CURRENT_FORM, tmp_path / "current"))
+    stored = list(iter_records(state / "audit.log", AUDIT_HEADER))
+    assert {(r["operation"], r["outcome"]) for r in stored} == {
+        (op.value, kind) for op in _DETAILS for kind in ("allowed", "denied", "error")
+    }
+    assert {"detail" in r for r in stored} == {True, False}
+    assert verify_audit_file(state / "audit.log") == ChainStatus(ok=True, length=36)
+    reopened = AuditLog(state, sync=False)
+    assert (reopened._seq, reopened._last_hash.hex()) == (36, stored[-1]["record_hash"])
+    reopened.close()
+
+
+def test_appending_the_fixture_records_again_reproduces_its_bytes(tmp_path):
+    path = _write_current_form(tmp_path / "replayed")
+    assert path.read_bytes() == (CURRENT_FORM / "audit.log").read_bytes()

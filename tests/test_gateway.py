@@ -14,6 +14,7 @@ from agent_esim.errors import (
     InvalidPolicy,
     InvalidProfile,
     MalformedRequest,
+    ProfileNotActive,
     StorageFailure,
     UnknownProfile,
     UnknownSubscriber,
@@ -360,6 +361,27 @@ def test_update_policy_validation(stack):
         )
     with pytest.raises(UnknownProfile):
         stack.gateway.update_policy("esim-missing", permissive_policy())
+
+
+def test_update_policy_refuses_a_revoked_profile(stack):
+    """A binding on a revoked profile would never be enforced: the update is
+    refused, audited as an error, and writes no policy."""
+    profile_id, _, _ = provisioned_agent(stack, policy=permissive_policy(policy_id="kept"))
+    stack.gateway.update_policy(profile_id, permissive_policy(policy_id="while-active"))
+    stack.gateway.lifecycle(profile_id, "suspend")
+    stack.gateway.update_policy(profile_id, permissive_policy(policy_id="while-suspended"))
+    stack.gateway.revoke_profile(profile_id, "done")
+    policies = stack.policies._log.path
+    size = policies.stat().st_size
+    with pytest.raises(ProfileNotActive) as exc:
+        stack.gateway.update_policy(profile_id, permissive_policy(policy_id="too-late"))
+    assert exc.value.state is ProfileState.REVOKED
+    assert stack.policies.get(profile_id).policy_id == "while-suspended"
+    assert policies.stat().st_size == size
+    record = stack.audit.records()[-1]
+    assert (record.operation, record.outcome.kind, record.outcome.detail) == (
+        AuditOperation.POLICY_UPDATE, "error", "ProfileNotActive",
+    )
 
 
 def test_mediation_completeness(stack):

@@ -416,6 +416,24 @@ def test_policy_update_over_wire(served):
         assert (status, body["error"]) == (400, "InvalidPolicy"), not_an_object
 
 
+def test_policy_update_on_a_revoked_profile_answers_400(served):
+    stack, server = served
+    admin = AdminClient(server.base_url, ADMIN_SECRET)
+    kept = permissive_policy(policy_id="kept")
+    created = admin.provision(provision_document(secrets.token_bytes(32), kept))
+    admin.revoke(created["profile_id"], "done")
+    records = len(stack.audit.records())
+    status, body, _ = admin.request(
+        "POST",
+        "/admin/policy",
+        {"profile_id": created["profile_id"], "policy": permissive_policy(policy_id="late").to_json()},
+        {"X-Admin-Secret": ADMIN_SECRET},
+    )
+    assert (status, body["error"]) == (400, "ProfileNotActive")
+    assert len(stack.audit.records()) == records + 1
+    assert admin.status(created["profile_id"])["policy"]["policy_id"] == "kept"
+
+
 def test_audit_verify_endpoint(served):
     stack, server = served
     admin = AdminClient(server.base_url, ADMIN_SECRET)

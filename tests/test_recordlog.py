@@ -426,6 +426,7 @@ def test_checkpointed_reopen_applies_the_last_record_and_the_tail(tmp_path, smal
         "end": store.log.committed_end,
         "crc32": zlib.crc32(path.read_bytes()),
         "last_at": store.log.committed_end - len(recordlog._frame(recordlog._encode(store.last))),
+        "sync": True,
     }
     for i in range(3):
         store.log.append({"i": store.applied, "tail": i})
@@ -447,9 +448,18 @@ def test_log_with_a_snapshot_writes_no_checkpoint(tmp_path, small_compactions):
     store.log.close()
 
 
-def _set_checkpoint(path, **fields):
+def _set_checkpoint(path, drop=(), **fields):
     (point,) = iter_records(path, "TEST/1")
-    write_frames(path, "TEST/1", [json.dumps(dict(point, **fields)).encode()])
+    point = {key: value for key, value in dict(point, **fields).items() if key not in drop}
+    write_frames(path, "TEST/1", [json.dumps(point).encode()])
+
+
+def _cut_below_checkpoint(log, ckpt, point, **fields):
+    """Cut the log at the frame boundary `last_at`, below the checkpoint's end,
+    and change the checkpoint's fields: a checkpoint written with sync off, or
+    before it recorded `sync`, may outlive an unsynced tail."""
+    os.truncate(log, point["last_at"])
+    _set_checkpoint(ckpt, **fields)
 
 
 def _flip(path, offset, byte):
@@ -473,7 +483,10 @@ FALLBACKS = {
     "undecodable": lambda log, ckpt, point: ckpt.write_bytes(b"TEST/1\n\x00\x00\x00\x05{{{{{"),
     "wrong-header": lambda log, ckpt, point: write_frames(ckpt, "OTHER/1", [b"{}"]),
     "missing-field": lambda log, ckpt, point: write_frames(ckpt, "TEST/1", [b'{"end":1}']),
-    "end-past-eof": lambda log, ckpt, point: os.truncate(log, point["last_at"]),
+    "end-past-eof": lambda log, ckpt, point: _cut_below_checkpoint(log, ckpt, point, sync=False),
+    "end-past-eof-before-sync-field": lambda log, ckpt, point: _cut_below_checkpoint(
+        log, ckpt, point, drop=("sync",)
+    ),
     "last-at-inside-frame": lambda log, ckpt, point: _set_checkpoint(
         ckpt, last_at=point["last_at"] + 1
     ),
@@ -533,6 +546,27 @@ def test_corrupt_length_below_the_checkpoint_refuses_to_open(tmp_path, small_com
     with pytest.raises(StorageFailure, match=f"frame at byte {at} .* checkpointed end"):
         LastRecordStore(path)
     assert path.read_bytes() == spoiled
+
+
+@pytest.mark.parametrize("cut", ["frame-boundary", "empty", "missing"])
+def test_log_shorter_than_a_synced_checkpoint_refuses_to_open(tmp_path, small_compactions, cut):
+    """A checkpoint written with sync on vouches for bytes that were durable:
+    a log that ends below its end lost acknowledged records, so the open
+    raises naming both figures and leaves the file (or its absence) as it is."""
+    path = tmp_path / "c.log"
+    store = LastRecordStore(path)
+    ends = _fill_until_checkpointed(store)
+    store.log.append({"i": "tail"})
+    store.log.close()
+    end = _checkpoint(store)["end"]
+    size = {"frame-boundary": ends[-3], "empty": 0, "missing": 0}[cut]
+    os.truncate(path, size)
+    if cut == "missing":
+        path.unlink()
+    spoiled = path.read_bytes() if path.exists() else None
+    with pytest.raises(StorageFailure, match=f"ends at byte {size}, below the end {end} "):
+        LastRecordStore(path)
+    assert (path.read_bytes() if path.exists() else None) == spoiled
 
 
 def test_torn_frame_after_the_checkpoint_is_cut_off(tmp_path, small_compactions):
