@@ -5,7 +5,15 @@ before its response is released. Each record hashes its own fields plus
 the previous record's hash, so any mutation, deletion, or reorder of the
 stored log is detectable; sequence numbers are dense from 1 and the
 genesis record chains from 32 zero bytes. A truncated tail is still a
-valid (shorter) chain and is reported by length, not as a break.
+valid (shorter) chain, reported by length, unless the checker knows the log
+reached further (the live check its committed end, the offline check the
+end a checkpoint written with `sync` on saw durable): then it is a break.
+
+One loop, `_walk_chain`, links records for every check. `AuditLog.verify`
+also keeps, in memory only, the end, SHA-256, length and last hash of the
+last prefix it found whole. A later call hashes that prefix again and, if
+the digest matches, links only the records after it; so it reads every
+byte, and any changed byte sends it over the whole log.
 
 `record_hash` is the one statement of what a record commits to, and it
 reads the record as stored: `append` stores the dict it hashed, the
@@ -27,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import StorageFailure
-from .recordlog import FrameWalk, RecordLog, decode_records, iter_records
+from .recordlog import FrameWalk, RecordLog, decode_records, iter_records, read_checkpoint
 from .wire import encode_fields, sha256
 
 AUDIT_HEADER = "AESIM-AUDIT/1"
@@ -111,6 +119,11 @@ class ChainStatus:
     length: int
     first_bad_seq: int | None = None
 
+    @classmethod
+    def after(cls, length: int, ok: bool) -> "ChainStatus":
+        """A whole chain of `length` records, or a break just after them."""
+        return cls(ok, length, None if ok else length + 1)
+
     def to_json(self) -> dict:
         payload = {"ok": self.ok, "length": self.length}
         if not self.ok:
@@ -123,7 +136,7 @@ class AuditLog:
     Its log takes no snapshot, so it is never compacted: the chain is the
     history. It checkpoints instead, so a reopen applies the checkpointed
     prefix's last record and the records after it, not the whole chain;
-    `verify()` and `records()` still read every record."""
+    `records()` still reads every record, and `verify()` every byte."""
 
     def __init__(
         self,
@@ -137,6 +150,10 @@ class AuditLog:
         self._lock = threading.Lock()
         self._seq = 0
         self._last_hash = GENESIS_PREV_HASH
+        # (end, SHA-256 of bytes [0, end), length, last hash) of the last
+        # prefix verify() found whole; never written to disk, where whoever
+        # edits the log could edit it too
+        self._verified: tuple[int, bytes, int, bytes] | None = None
         self._log = RecordLog(self.path, AUDIT_HEADER, self._apply, sync=sync)
 
     def _apply(self, rec: dict) -> None:
@@ -174,8 +191,26 @@ class AuditLog:
 
     def verify(self) -> ChainStatus:
         """Verify the committed prefix: the bytes up to the last acknowledged
-        append, so an append still in flight is not read."""
-        return verify_audit_file(self.path, self._log.committed_end)
+        append, so an append still in flight is not read. Answers what
+        `verify_audit_file(path, committed_end)` answers, re-linking only
+        what follows the last prefix found whole (see the module doc)."""
+        end, memo = self._log.committed_end, self._verified
+        with FrameWalk(self.path, end) as walk:
+            start, length, last, digest = 0, 0, GENESIS_PREV_HASH, None
+            if memo is not None and memo[0] <= walk.size:
+                header_end, walk.end = walk.end, memo[0]
+                digest = walk.sha256(0)
+                if digest.digest() == memo[1]:
+                    start, length, last = memo[0], memo[2], memo[3]
+                else:
+                    walk.end, digest = header_end, None
+            length, last = _walk_chain(decode_records(walk, AUDIT_HEADER), length, last)
+            ok = last is not None and walk.end == walk.size == end
+            # a plain swap: a concurrent verify may replace it, never tear it
+            self._verified = (
+                (end, walk.sha256(start, digest).digest(), length, last) if ok else None
+            )
+        return ChainStatus.after(length, ok)
 
     def close(self) -> None:
         self._log.close()
@@ -208,37 +243,47 @@ def _link_hash(rec: dict, position: int, prev_hash: bytes) -> bytes | None:
     return stored if valid else None
 
 
-def verify_audit_chain(records: Iterable[dict]) -> ChainStatus:
-    """Recompute the chain over stored records, one at a time; the first
-    position that fails names the break.
+def _walk_chain(
+    records: Iterable[dict], length: int = 0, prev_hash: bytes = GENESIS_PREV_HASH
+) -> tuple[int, bytes | None]:
+    """Link `records`, one at a time, onto a whole chain of `length` records
+    whose last hash is `prev_hash`: the length reached and its last hash, or
+    None for the hash when the next position fails.
 
     Position k (1-based) fails when the stored record's seq is not k, its
     operation is unknown, its stored prev_hash (if any) does not equal the
     previous record's hash, its record_hash does not match recomputation,
     or it cannot be read at all (`records` raising StorageFailure there).
     """
-    prev_hash: bytes | None = GENESIS_PREV_HASH
-    length = 0
     try:
         for rec in records:
-            prev_hash = _link_hash(rec, length + 1, prev_hash)
-            if prev_hash is None:
-                break
-            length += 1
+            link = _link_hash(rec, length + 1, prev_hash)
+            if link is None:
+                return length, None
+            length, prev_hash = length + 1, link
     except StorageFailure:
-        prev_hash = None
-    if prev_hash is None:
-        return ChainStatus(ok=False, length=length, first_bad_seq=length + 1)
-    return ChainStatus(ok=True, length=length)
+        return length, None
+    return length, prev_hash
+
+
+def verify_audit_chain(records: Iterable[dict]) -> ChainStatus:
+    """Recompute the chain over stored records; the first position that
+    fails names the break."""
+    length, last = _walk_chain(records)
+    return ChainStatus.after(length, last is not None)
 
 
 def verify_audit_file(path: str | Path, end: int | None = None) -> ChainStatus:
     """Verify a stored log, or its first `end` bytes, in one streaming pass;
     unreadable storage (a wrong header, a record that does not decode, an
     incomplete final frame) counts as a break at the first unreadable
-    position."""
+    position. So does a log shorter than the end it is known to have
+    reached: `end` when given, else the end that a checkpoint beside it,
+    written with `sync` on, saw durable (a cut there dropped acknowledged
+    records, and the reopen refuses the log)."""
+    reached = end or 0
+    if end is None and (point := read_checkpoint(path, AUDIT_HEADER)) and point[3]:
+        reached = point[0]
     with FrameWalk(path, end) as walk:
-        status = verify_audit_chain(decode_records(walk, AUDIT_HEADER))
-    if status.ok and walk.end < walk.size:
-        return ChainStatus(ok=False, length=status.length, first_bad_seq=status.length + 1)
-    return status
+        length, last = _walk_chain(decode_records(walk, AUDIT_HEADER))
+    return ChainStatus.after(length, last is not None and walk.end == walk.size >= reached)

@@ -60,11 +60,13 @@ Opening a log deletes a leftover `.ckpt.tmp` file.
 
 Every reader goes through `FrameWalk`, which maps the file read-only and
 yields one complete frame at a time, so reading a log holds one record in
-memory however long the log is.
+memory however long the log is; its CRC32 and SHA-256 read the mapped bytes
+in place.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
 import os
@@ -108,7 +110,7 @@ class RecordLog:
         # kept by a log without a snapshot: its last checkpoint's end, and
         # the CRC of its bytes up to `committed_end`
         self._checkpoint_end = self._crc = 0
-        point = self._read_checkpoint() if snapshot is None else None
+        point = read_checkpoint(self.path, header) if snapshot is None else None
         if point is not None and point[3] and size < point[0]:
             raise StorageFailure(
                 f"{self.path}: the log ends at byte {size}, below the end {point[0]} that"
@@ -140,16 +142,6 @@ class RecordLog:
             self.committed_end = self._fh.write(head)
             self._crc = zlib.crc32(head)
         self._compacted_end = self.committed_end
-
-    def _read_checkpoint(self) -> tuple[int, int, int, bool] | None:
-        """The checkpoint's (end, crc32, last_at, sync), or None when none decodes
-        with the log's header; `sync` is False in one that predates the field."""
-        try:
-            (point,) = list(iter_records(self._checkpoint_path, self.header))
-            end, crc, last_at = (int(point[key]) for key in ("end", "crc32", "last_at"))
-            return end, crc, last_at, point.get("sync") is True
-        except (OSError, StorageFailure, KeyError, TypeError, ValueError):
-            return None
 
     def _resume(
         self, walk: FrameWalk, end: int, crc: int, last_at: int
@@ -290,6 +282,14 @@ class FrameWalk:
         with memoryview(self._data)[start : self.end] as view:
             return zlib.crc32(view, value)
 
+    def sha256(self, start: int, digest: Any = None) -> Any:
+        """`digest` (a new `hashlib.sha256` by default) updated with the bytes
+        from `start` to `end`; read through the mapping, never copied."""
+        digest = hashlib.sha256() if digest is None else digest
+        with memoryview(self._data)[start : self.end] as view:
+            digest.update(view)
+        return digest
+
     def close(self) -> None:
         if isinstance(self._data, mmap.mmap):
             self._data.close()
@@ -327,6 +327,18 @@ def write_frames(
         if sync:
             os.fsync(fh.fileno())
     return size
+
+
+def read_checkpoint(path: str | Path, header: str) -> tuple[int, int, int, bool] | None:
+    """The (end, crc32, last_at, sync) of the checkpoint beside the log at
+    `path`, or None when none decodes with the log's header; `sync` is False
+    in one that predates the field."""
+    try:
+        (point,) = list(iter_records(f"{path}{CHECKPOINT_SUFFIX}", header))
+        end, crc, last_at = (int(point[key]) for key in ("end", "crc32", "last_at"))
+        return end, crc, last_at, point.get("sync") is True
+    except (OSError, StorageFailure, KeyError, TypeError, ValueError):
+        return None
 
 
 def _encode(record: dict[str, Any]) -> bytes:

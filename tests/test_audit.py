@@ -6,11 +6,16 @@ import json
 import os
 import secrets
 import shutil
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agent_esim import audit as audit_module
 from agent_esim.audit import (
     AUDIT_HEADER,
     AuditLog,
@@ -257,19 +262,21 @@ def test_corrupt_length_inside_the_checkpointed_prefix_is_refused(tmp_path, caps
     assert json.loads(capsys.readouterr().out) == {"ok": False, "length": 10, "first_bad_seq": 11}
 
 
-def _frame_end(path, frames) -> int:
-    """The offset where the first `frames` frames of a log end."""
+def _frame_starts(path) -> list[int]:
+    """Where each frame of a log starts, then where the last one ends."""
     with FrameWalk(path) as walk:
-        for _ in zip(range(frames), walk):
-            pass
-        return walk.end
+        starts = [walk.end]
+        for _ in walk:
+            starts.append(walk.end)
+    return starts
 
 
 @pytest.mark.parametrize("kept", [200, 0])
 def test_a_log_cut_below_its_checkpoint_refuses_to_reopen(tmp_path, capsys, kept):
     """A log cut at a frame boundary below the end its checkpoint saw durable
-    (or cut to nothing) has lost acknowledged records: the offline check sees
-    only a shorter chain, so the reopen must refuse instead of reusing seqs."""
+    (or cut to nothing) has lost acknowledged records: the reopen refuses
+    instead of reusing seqs, and the offline check reads the checkpoint
+    beside the log and names a break just after the records left."""
     from agent_esim.cli import main
 
     state = tmp_path / "state"
@@ -278,12 +285,13 @@ def test_a_log_cut_below_its_checkpoint_refuses_to_reopen(tmp_path, capsys, kept
     audit.close()
     path = state / "audit.log"
     end = _checkpoint_end(state)
-    size = _frame_end(path, kept) if kept else 0
+    size = _frame_starts(path)[kept] if kept else 0
     assert size < end < path.stat().st_size
     os.truncate(path, size)
     cut = path.read_bytes()
-    if kept:
-        assert verify_audit_file(path) == ChainStatus(ok=True, length=kept)
+    assert verify_audit_file(path) == ChainStatus(ok=False, length=kept, first_bad_seq=kept + 1)
+    assert main(["audit-verify", "--log", str(path)]) == 1
+    assert capsys.readouterr().out == f"audit chain BROKEN at seq {kept + 1} ({kept} records verified)\n"
 
     with pytest.raises(StorageFailure, match=f"audit.log: the log ends at byte {size}, .* {end} "):
         AuditLog(state)
@@ -466,3 +474,151 @@ def test_the_current_form_fixture_verifies_and_reopens_at_its_last_seq(tmp_path)
 def test_appending_the_fixture_records_again_reproduces_its_bytes(tmp_path):
     path = _write_current_form(tmp_path / "replayed")
     assert path.read_bytes() == (CURRENT_FORM / "audit.log").read_bytes()
+
+
+# -- the live verify's memo of the last whole prefix ---------------------------
+
+
+def _state_bytes(state) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(Path(state).iterdir())}
+
+
+@pytest.fixture
+def linked(monkeypatch):
+    """The positions that chain walks link from now on, in order."""
+    positions = []
+    link_hash = audit_module._link_hash
+
+    def counted(rec, position, prev_hash):
+        positions.append(position)
+        return link_hash(rec, position, prev_hash)
+
+    monkeypatch.setattr(audit_module, "_link_hash", counted)
+    return positions
+
+
+def test_a_warm_verify_links_only_the_records_appended_since(log, linked):
+    append_n(log, 30)
+    assert log.verify() == ChainStatus(ok=True, length=30)
+    linked.clear()
+    append_n(log, 3)
+    assert log.verify() == ChainStatus(ok=True, length=33)
+    assert log.verify() == ChainStatus(ok=True, length=33)
+    assert linked == [31, 32, 33]
+
+
+def test_a_changed_byte_in_the_verified_prefix_walks_the_whole_log(log, linked):
+    append_n(log, 30)
+    assert log.verify().ok
+    raw = bytearray(log.path.read_bytes())
+    raw[_frame_starts(log.path)[9] + 10] ^= 0x01  # inside seq 10's JSON
+    log.path.write_bytes(bytes(raw))
+    expected = verify_audit_file(log.path, log._log.committed_end)
+    assert not expected.ok and expected.first_bad_seq <= 10
+    linked.clear()
+    assert log.verify() == expected
+    assert linked[0] == 1 and log._verified is None
+
+
+EDITS = ("flip", "delete", "cut", "torn", "append")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    verified=st.integers(min_value=0, max_value=30),
+    unverified=st.integers(min_value=0, max_value=5),
+    edit=st.sampled_from(EDITS),
+    data=st.data(),
+)
+def test_the_memo_never_changes_an_answer(tmp_path_factory, verified, unverified, edit, data):
+    """After a whole verify and more appends, one edit to audit.log: the live
+    verify answers what the full walk of the committed prefix answers, twice,
+    keeps no memo after a break and leaves every stored byte as it was."""
+    state = tmp_path_factory.mktemp("memo")
+    log = AuditLog(state, sync=False)
+    try:
+        append_n(log, verified)
+        assert log.verify() == ChainStatus(ok=True, length=verified)
+        append_n(log, unverified)
+        path, frames = log.path, verified + unverified
+        starts = _frame_starts(path)
+        raw = bytearray(path.read_bytes())
+        if edit in ("flip", "delete") and frames:
+            i = data.draw(st.integers(0, frames - 1), label="frame")
+            if edit == "flip":
+                at = data.draw(st.integers(starts[i], starts[i + 1] - 1), label="byte")
+                raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+            else:
+                del raw[starts[i] : starts[i + 1]]
+            path.write_bytes(bytes(raw))
+        elif edit == "cut":
+            sizes = st.sampled_from(starts) | st.integers(0, len(raw))  # boundaries too
+            os.truncate(path, data.draw(sizes, label="size"))
+        elif edit == "torn":
+            with open(path, "ab") as fh:
+                fh.write((300).to_bytes(4, "big") + b'{"seq":')
+        elif edit == "append":
+            append_n(log, data.draw(st.integers(1, 5), label="appended"))
+
+        expected = verify_audit_file(path, log._log.committed_end)
+        before = _state_bytes(state)
+        assert log.verify() == expected
+        assert (log._verified is None) == (not expected.ok)
+        assert log.verify() == expected
+        assert _state_bytes(state) == before
+    finally:
+        log.close()
+
+
+def test_verifies_racing_appends_see_a_whole_growing_chain(tmp_path):
+    """Two threads verify in a loop while a third appends 2,000 records:
+    every answer is whole, never shorter than one the same thread saw
+    before, and never longer than the appends committed so far."""
+    log = AuditLog(tmp_path / "state", sync=False)
+    acknowledged, finished, failures = 0, threading.Event(), []
+    answers = {0: [], 1: []}
+
+    def append_all():
+        nonlocal acknowledged
+        try:
+            for _ in range(2_000):
+                append_n(log, 1)
+                acknowledged += 1
+        except Exception as err:
+            failures.append(err)
+        finally:
+            finished.set()
+
+    def verify_until_finished(thread):
+        try:
+            while not finished.is_set():
+                before = acknowledged
+                status = log.verify()
+                answers[thread].append((before, status, acknowledged))
+        except Exception as err:
+            failures.append(err)
+
+    threads = [threading.Thread(target=verify_until_finished, args=(i,)) for i in answers]
+    threads.append(threading.Thread(target=append_all))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    final = log.verify()
+    log.close()
+
+    assert failures == []
+    assert final == ChainStatus(ok=True, length=2_000)
+    for seen in answers.values():
+        assert seen
+        lengths = [status.length for _, status, _ in seen]
+        assert lengths == sorted(lengths)
+        for before, status, after in seen:
+            # the append in flight may be committed before its call returns
+            assert status.ok and before <= status.length <= after + 1, (before, status, after)

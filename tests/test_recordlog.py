@@ -1,6 +1,7 @@
 """Persistence substrate and canonical encodings."""
 
 import errno
+import hashlib
 import json
 import os
 import secrets
@@ -107,6 +108,19 @@ def test_frame_tools_round_trip(tmp_path):
     with FrameWalk(path) as walk:
         header, frames = walk.header, list(walk)
     assert header == "TEST/1" and frames == [b"one", b"two"]
+
+
+def test_frame_walk_sha256_continues_a_digest_over_the_walked_bytes(tmp_path):
+    path = tmp_path / "y.log"
+    write_frames(path, "TEST/1", [b"one", b"two"])
+    raw = path.read_bytes()
+    with FrameWalk(path) as walk:
+        next(iter(walk))
+        first = walk.sha256(0)
+        assert first.digest() == hashlib.sha256(raw[: walk.end]).digest()
+        start = walk.end
+        list(walk)
+        assert walk.sha256(start, first).digest() == hashlib.sha256(raw).digest()
 
 
 def test_truncated_frame_detected(tmp_path):
